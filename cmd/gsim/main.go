@@ -111,8 +111,7 @@ func main() {
 		verify   = flag.Bool("verify", true, "check functional outputs after the run")
 		showOcc  = flag.Bool("occupancy", false, "print the occupancy plan and exit")
 		cacheDir = flag.String("cachedir", "", "on-disk result cache directory: identical runs are served from cache ('' disables; ignored with -trace)")
-		smw      = flag.Int("smworkers", 0, "cycle-engine workers (0 = GOMAXPROCS, 1 = sequential; results identical at any value)")
-		noFF     = flag.Bool("noff", false, "disable the idle fast-forward (debugging; results identical either way)")
+		smw      = flag.Int("smworkers", 0, "cycle-engine workers (0 or 1 = sequential, 2+ = worker pool; results identical at any value)")
 		noMemSlp = flag.Bool("nomemsleep", false, "disable the event-driven memory tick (debugging; results identical either way)")
 		verbose  = flag.Bool("v", false, "print the per-partition memory breakdown after the run")
 		ckStride = flag.Int64("checkpoint-stride", 0, "write a machine snapshot every N cycles (0 disables; results identical either way)")
@@ -171,7 +170,6 @@ func main() {
 	cfg.TraceInterval = *trace
 	cfg.InvariantStride = *invar
 	cfg.SMWorkers = *smw
-	cfg.NoFastForward = *noFF
 	cfg.NoMemSleep = *noMemSlp
 	cfg.CheckpointStride = *ckStride
 	if *bisect && cfg.CheckpointStride <= 0 {

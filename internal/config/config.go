@@ -237,33 +237,23 @@ type Config struct {
 
 	// SMWorkers sets the cycle engine's worker-pool size: each cycle the
 	// per-SM Tick calls fan out across this many goroutines behind a
-	// cycle barrier. 0 uses GOMAXPROCS, 1 forces the sequential in-line
-	// path. Results are bit-identical for every worker count (SM-to-
-	// memory traffic is staged per SM and merged in SM-index order), so
-	// SMWorkers is an engine knob, not a simulation parameter: it is
-	// excluded from the canonical configuration and cached results are
-	// shared across worker counts.
+	// cycle barrier. 0 and 1 select the sequential in-line path (the
+	// default); the pool starts only at 2 or more. Results are
+	// bit-identical for every worker count (SM-to-memory traffic is
+	// staged per SM and merged in SM-index order), so SMWorkers is an
+	// engine knob, not a simulation parameter: it is excluded from the
+	// canonical configuration and cached results are shared across
+	// worker counts.
 	SMWorkers int `json:"-"`
-
-	// NoFastForward disables the idle fast-forward: normally, when no SM
-	// can issue (every warp is waiting on memory, writebacks, or
-	// barriers) the cycle loop jumps straight to the next pending-event
-	// horizon instead of burning empty cycles. The jump is exact —
-	// skipped cycles contribute their per-cycle statistics and every
-	// stride-aligned duty (invariant audits, traces, cancellation polls,
-	// the watchdog) still happens at its original cycle — so this too is
-	// an engine knob excluded from the canonical configuration; it
-	// exists for determinism regression tests and debugging.
-	NoFastForward bool `json:"-"`
 
 	// NoSnapshot disables the event-driven warp-snapshot cache and the
 	// incremental scheduler ready sets: every cycle rebuilds every
 	// scheduler view from scratch (operand walks, sort-based ranking),
 	// exactly the pre-ready-set issue path. The snapshot engine is
-	// proven bit-identical to the recompute path, so like SMWorkers and
-	// NoFastForward this is an engine knob excluded from the canonical
-	// configuration; it exists as a determinism escape hatch
-	// (GPUSHARE_NOSNAPSHOT=1) and for the equivalence regression tests.
+	// proven bit-identical to the recompute path, so like SMWorkers this
+	// is an engine knob excluded from the canonical configuration; it
+	// exists as a determinism escape hatch (GPUSHARE_NOSNAPSHOT=1) and
+	// for the equivalence regression tests.
 	NoSnapshot bool `json:"-"`
 
 	// CheckpointStride, when positive, snapshots the full machine state
@@ -273,22 +263,19 @@ type Config struct {
 	// taken at a cycle boundary and restore is bit-identical, proven by
 	// the determinism gates — so like SMWorkers it is an engine knob
 	// excluded from the canonical configuration and the sim-v1 result
-	// fingerprint: cached results are shared across stride settings. The
-	// idle fast-forward clamps its jump horizon to the next checkpoint
-	// cycle, so every stride-aligned snapshot happens at its exact cycle
-	// even when the engine is skipping idle spans.
+	// fingerprint: cached results are shared across stride settings.
 	CheckpointStride int64 `json:"-"`
 
-	// NoSMSleep disables the per-SM sleep/wake fast-forward: normally an
-	// SM whose warps are all blocked (memory replies, barriers, pipeline
-	// latency) with a provable wake cycle is skipped in the per-cycle
-	// fan-out until that cycle, or until an external event (memory
-	// reply, block launch) wakes it early, while busy SMs keep ticking.
+	// NoSMSleep disables per-SM sleep/wake: normally an SM whose warps
+	// are all blocked (memory replies, barriers, pipeline latency) with
+	// a provable wake cycle is skipped in the per-cycle fan-out until
+	// that cycle, or until an external event (memory reply, block
+	// launch) wakes it early, while busy SMs keep ticking.
 	// The skip is exact — a sleeping SM's skipped cycles contribute
-	// their per-cycle statistics via the same replay arithmetic as the
-	// machine-global fast-forward — so like NoFastForward this is an
-	// engine knob excluded from the canonical configuration and the
-	// sim-v1 result fingerprint; it exists as a determinism escape hatch
+	// their per-cycle statistics by replaying one measured model cycle's
+	// counter delta — so like SMWorkers this is an engine knob excluded
+	// from the canonical configuration and the sim-v1 result
+	// fingerprint; it exists as a determinism escape hatch
 	// (GPUSHARE_NOSMSLEEP=1) and for the equivalence regression tests.
 	NoSMSleep bool `json:"-"`
 

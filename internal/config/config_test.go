@@ -188,8 +188,8 @@ func TestCanonicalJSON(t *testing.T) {
 }
 
 // TestCanonicalJSONExcludesEngineKnobs pins the engine-knob exclusion:
-// worker counts, fast-forward, snapshot mode, and the checkpoint stride
-// cannot change results, so they must not change job cache keys.
+// worker counts, snapshot mode, SM and memory sleep, and the checkpoint
+// stride cannot change results, so they must not change job cache keys.
 func TestCanonicalJSONExcludesEngineKnobs(t *testing.T) {
 	c := Default()
 	base, err := c.CanonicalJSON()
@@ -197,8 +197,9 @@ func TestCanonicalJSONExcludesEngineKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SMWorkers = 7
-	c.NoFastForward = true
 	c.NoSnapshot = true
+	c.NoSMSleep = true
+	c.NoMemSleep = true
 	c.CheckpointStride = 4096
 	knobbed, _ := c.CanonicalJSON()
 	if string(base) != string(knobbed) {

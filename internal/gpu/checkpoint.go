@@ -6,9 +6,10 @@
 // request sits in exactly one queue, and no scratch state is live.
 //
 // What is deliberately excluded:
-//   - idle fast-forward arm state (ffSnap/ffJumpTo/ffRetryAt): the jump
-//     is exact, so re-arming from scratch after a restore produces
-//     byte-identical statistics;
+//   - per-SM and memory sleep state: sleeping SMs are materialized
+//     before the snapshot, and a restored run re-arms sleep and
+//     re-derives memory horizons from scratch, with byte-identical
+//     statistics;
 //   - derived per-SM views (ready ranks, warp snapshots, free lists):
 //     the restorer marks every warp dirty and the first refresh rebuilds
 //     them exactly (see smcore.RestoreState);

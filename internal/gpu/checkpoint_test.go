@@ -119,10 +119,9 @@ func captureGaussian(tb testing.TB, stride int64) (*checkpoint.MemSink, string) 
 }
 
 // TestCheckpointStrideComplete proves no stride multiple is ever
-// skipped: with idle fast-forward on (the default), the event horizon
-// must treat checkpoint cycles as obligations and land jumps exactly on
-// them, so the trail holds every multiple of the stride up to the last
-// loop iteration.
+// skipped: with per-SM and memory sleep on (the default) the cycle loop
+// still visits every cycle, so the trail holds every multiple of the
+// stride up to the last loop iteration.
 func TestCheckpointStrideComplete(t *testing.T) {
 	const stride = 512
 	cfg := config.Default()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"gpushare/internal/config"
 	"gpushare/internal/kernel"
@@ -45,16 +44,28 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// pollCtx is a context whose deadline "expires" on its nth Err poll:
+// cancellation at a fixed point in the run, independent of wall-clock
+// time and host load.
+type pollCtx struct {
+	context.Context
+	n, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 func TestRunCtxDeadlineStopsMidRun(t *testing.T) {
 	sim := MustNew(config.Default())
-	// Large enough that the simulation far outlives the 1ms deadline.
 	l := launchVecAdd(t, sim, 128*560)
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := sim.RunCtx(ctx, l)
-	elapsed := time.Since(start)
+	const n = 4
+	_, err := sim.RunCtx(&pollCtx{Context: context.Background(), n: n}, l)
 
 	se, ok := simerr.As(err)
 	if !ok || se.Kind != simerr.KindCanceled {
@@ -63,13 +74,11 @@ func TestRunCtxDeadlineStopsMidRun(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v does not wrap context.DeadlineExceeded", err)
 	}
-	// The cycle loop polls every cancelStride cycles; even with a slow
-	// machine and -race the run must stop long before MaxCycles.
-	if elapsed > 30*time.Second {
-		t.Fatalf("cancellation took %s; cycle loop is not observing ctx", elapsed)
-	}
-	if se.Cycle <= 0 {
-		t.Fatalf("canceled at cycle %d, want > 0 (mid-run)", se.Cycle)
+	// The cycle loop visits every cycle and polls at each multiple of
+	// cancelStride starting from cycle 0, so the nth poll is at cycle
+	// (n-1)*cancelStride.
+	if want := int64((n - 1) * cancelStride); se.Cycle != want {
+		t.Fatalf("canceled at cycle %d, want %d (the %dth poll)", se.Cycle, want, n)
 	}
 }
 

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,9 +12,9 @@ import (
 )
 
 // envNoSMSleep reads GPUSHARE_NOSMSLEEP: any value other than empty or
-// "0" disables the per-SM sleep/wake fast-forward, exactly like
-// Config.NoSMSleep. Read per engine construction, not once, so tests
-// can flip it with t.Setenv.
+// "0" disables per-SM sleep/wake, exactly like Config.NoSMSleep. Read
+// per engine construction, not once, so tests can flip it with
+// t.Setenv.
 func envNoSMSleep() bool {
 	v := os.Getenv("GPUSHARE_NOSMSLEEP")
 	return v != "" && v != "0"
@@ -77,7 +76,7 @@ type wakeEnt struct {
 }
 
 // cycleEngine advances the SM array one cycle at a time, either inline
-// (workers == 1, the exact sequential order the simulator has always
+// (workers <= 1, the exact sequential order the simulator has always
 // used) or fanned across a pool of persistent worker goroutines with a
 // barrier per cycle.
 //
@@ -121,13 +120,10 @@ type cycleEngine struct {
 	once  sync.Once
 }
 
-// newCycleEngine builds the engine. workers <= 0 selects GOMAXPROCS;
-// the pool is capped at the SM count. With a single worker the engine
-// is a plain loop and spawns nothing.
+// newCycleEngine builds the engine. workers of 0 or 1 select the
+// sequential in-line path, which spawns nothing; 2 or more start a
+// worker pool of that size, capped at the SM count.
 func newCycleEngine(sms []*smcore.SM, workers int, opt engineOpts) *cycleEngine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(sms) {
 		workers = len(sms)
 	}
@@ -373,35 +369,6 @@ func (e *cycleEngine) materialize(end int64) {
 	}
 	for i := range e.st {
 		if e.st[i].state == smAsleep {
-			e.sms[i].SleepReplayTo(&e.st[i].rs, end)
-		}
-	}
-}
-
-// asleep reports whether engine index i is sleeping (false when sleep
-// is disabled). The global idle fast-forward excludes sleeping SMs
-// from its own stats replay — their skipped cycles are covered by the
-// sleep replay instead — and calls globalSkip to keep both exact.
-func (e *cycleEngine) asleep(i int) bool {
-	return e.opt.sleep && e.st[i].state == smAsleep
-}
-
-// globalSkip reconciles the sleep machine with a machine-global idle
-// fast-forward jump landing at the end of cycle `end`: armed SMs are
-// disarmed (the global replay just advanced their counters, so the arm
-// snapshot is stale) and sleeping SMs are materialized to `end` (the
-// caller excluded them from the global replay). No SM can be due to
-// wake strictly inside the skipped range: the global horizon is a
-// lower bound on every sleeping SM's wake cycle.
-func (e *cycleEngine) globalSkip(end int64) {
-	if !e.opt.sleep {
-		return
-	}
-	for i := range e.st {
-		switch e.st[i].state {
-		case smArmed:
-			e.st[i].state = smAwake
-		case smAsleep:
 			e.sms[i].SleepReplayTo(&e.st[i].rs, end)
 		}
 	}

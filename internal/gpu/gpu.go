@@ -1,8 +1,8 @@
 // Package gpu assembles the whole GPU: the SM array, the memory system,
 // the thread-block dispatcher (including sharing pairs and ownership-
-// transfer relaunch), and the dynamic-warp-execution controller. Its Run
-// loop advances everything on a unified cycle clock until the grid
-// completes.
+// transfer relaunch), and the dynamic-warp-execution controller. One
+// cycle loop (driver.go) advances everything on a unified cycle clock
+// for every run mode until the grid completes.
 package gpu
 
 import (
@@ -40,9 +40,10 @@ const progressWindow = 500_000
 // defaultMaxCycles bounds runaway simulations.
 const defaultMaxCycles = 200_000_000
 
-// cancelStride is how often RunCtx polls its context, in cycles. It is
-// a power of two so the check compiles to a mask, and small enough that
-// a canceled run stops within well under a millisecond of wall time.
+// cancelStride is how often the cycle loop polls its context, in
+// cycles. It is a power of two so the check compiles to a mask, and
+// small enough that a canceled run stops within well under a
+// millisecond of wall time.
 const cancelStride = 1024
 
 // Sim owns the functional memory and runs kernels on a configured GPU.
@@ -53,7 +54,8 @@ type Sim struct {
 	Mem *mem.Global
 
 	// Trace, when non-nil and Cfg.TraceInterval > 0, receives one
-	// progress snapshot every TraceInterval cycles during Run.
+	// progress snapshot every TraceInterval cycles during Run and
+	// RunMulti.
 	Trace io.Writer
 
 	// Faults, when non-nil, arms a deterministic fault-injection plan on
@@ -183,49 +185,16 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
 	}
 
-	sms := make([]*smcore.SM, s.Cfg.NumSMs)
-	for i := range sms {
-		sm, err := smcore.New(i, &s.Cfg, &launch, occ, s.ms)
-		if err != nil {
-			return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
-		}
-		if s.Faults != nil {
-			sm.SetFaults(s.Faults)
-		}
-		sms[i] = sm
+	sms, err := s.buildSMs(&launch, occ, -1)
+	if err != nil {
+		return nil, err
 	}
-
-	stride := s.Cfg.InvariantStride
-	if stride <= 0 {
-		stride = envInvariantStride()
-	}
-	chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
-
-	maxCycles := s.Cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles
-	}
-	window := s.Cfg.ProgressWindow
-	if window <= 0 {
-		window = progressWindow
-	}
-
-	dyn := newDynController(&s.Cfg, sms)
-	var pending launchQueue
-	lastProgress := int64(0)
-	totalBlocks := launch.Blocks()
-	nextCTA := 0
-	startAt := int64(0)
-	resumedAt := int64(-1)
-	sink := s.CheckpointSink
-	ckStride := s.Cfg.CheckpointStride
-	if ckStride <= 0 || sink == nil {
-		ckStride, sink = 0, nil
-	}
-	kernels := []string{launch.Kernel.Name}
-
+	r := s.newRun(sms, modeSingle, []string{launch.Kernel.Name}, nil)
+	defer r.eng.close()
+	pol := &singleDispatch{name: launch.Kernel.Name, total: launch.Blocks()}
+	start := int64(0)
 	if s.RestoreFrom != nil {
-		p, err := s.decodePayload(s.RestoreFrom, modeSingle, kernels, nil)
+		p, err := s.decodePayload(s.RestoreFrom, modeSingle, r.kernels, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -238,215 +207,93 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 				"checkpoint dyn-controller state covers %d/%d SMs, run has %d",
 				len(st.DynLast), len(st.DynProbs), len(sms))
 		}
-		copy(dyn.last, st.DynLast)
-		copy(dyn.probs, st.DynProbs)
-		if pending, err = loadQueue(st.Pending, len(sms)); err != nil {
+		copy(r.dyn.last, st.DynLast)
+		copy(r.dyn.probs, st.DynProbs)
+		if err := r.resume(p.Cycle, st.LastProgress, st.Pending); err != nil {
 			return nil, err
 		}
-		nextCTA = st.NextCTA
-		lastProgress = st.LastProgress
-		startAt = p.Cycle
-		resumedAt = p.Cycle
-	} else {
-		// Initial fill, slot-major across SMs so blocks spread evenly, as
-		// GPGPU-Sim's breadth-first CTA dispatcher does. Blocks are numbered
-		// linearly (row-major over the 2D grid).
-		for slot := 0; slot < occ.Max && nextCTA < totalBlocks; slot++ {
-			for _, sm := range sms {
-				if nextCTA >= totalBlocks {
-					break
-				}
-				if err := sm.LaunchBlock(slot, nextCTA); err != nil {
-					return nil, simerr.Wrap(simerr.KindInvariant, -1, err)
-				}
-				nextCTA++
-			}
-		}
+		pol.next = st.NextCTA
+		start = p.Cycle
+	} else if err := r.fill(-1, pol); err != nil {
+		return nil, err
 	}
-
-	// Engine selection: a fault plan shares mutable state across SMs, so
-	// fault-injection runs stay on the exact sequential path.
-	workers := s.Cfg.SMWorkers
-	if s.Faults != nil {
-		workers = 1
-	}
-	eng := newCycleEngine(sms, workers, s.engineOpts())
-	defer eng.close()
-	chk.SetSleepSource(eng)
 	s.armMemSleep()
 
-	// Idle fast-forward (see DESIGN.md): after a quiet cycle — no issue,
-	// no launch — one more cycle is simulated normally as the "model"
-	// frozen cycle, then the identical cycles up to the event horizon are
-	// applied arithmetically. Disabled under dynamic warp execution (the
-	// issue gate consumes per-attempt randomness, so no cycle is ever
-	// provably frozen), under fault injection, and by Config.NoFastForward.
-	ffOK := !s.Cfg.DynWarp && s.Faults == nil && !s.Cfg.NoFastForward
-	tracing := s.Trace != nil && s.Cfg.TraceInterval > 0
-	var ffSnap []stats.SM
-	ffJumpTo := int64(-1) // >= 0: current cycle is the model cycle; jump target
-	ffRetryAt := int64(0) // damping: no arm attempt before this cycle
-
-	var now int64
-	for now = startAt; ; now++ {
-		// Checkpoint at the top of the loop body: the state is exactly
-		// the end of cycle now-1 — staging buffers empty, no scratch
-		// live. The resumedAt guard keeps a restored run from instantly
-		// re-writing the checkpoint it came from.
-		if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-			eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
-			p, err := s.newPayload(modeSingle, kernels, nil, now, sms)
-			if err != nil {
-				return nil, err
-			}
-			p.Single = &singleState{
-				NextCTA:      nextCTA,
-				Pending:      saveQueue(&pending),
-				LastProgress: lastProgress,
-				DynLast:      append([]int64(nil), dyn.last...),
-				DynProbs:     append([]float64(nil), dyn.probs...),
-			}
-			blob, err := encodePayload(p)
-			if err != nil {
-				return nil, err
-			}
-			if err := sink.Put(now, blob); err != nil {
-				return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
-			}
-		}
-		if now >= maxCycles {
-			return nil, s.hangError(simerr.KindMaxCycles, now, sms,
-				fmt.Sprintf("kernel %s exceeded %d cycles", launch.Kernel.Name, maxCycles))
-		}
-		if now&(cancelStride-1) == 0 && ctx.Err() != nil {
-			return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
-		}
-		anyIssued, err := eng.tick(now)
-		if err != nil {
-			if se, ok := simerr.As(err); ok && se.Dump == nil {
-				se.Dump = invariant.BuildDump(now, sms, s.ms)
-			}
-			return nil, err
-		}
-		s.ms.Tick(now)
-
-		if err := chk.Check(now); err != nil {
-			return nil, err
-		}
-
-		// Refill completed block slots after the CTA dispatch latency.
-		launched := false
-		for pending.len() > 0 && pending.front().at <= now {
-			p := pending.pop()
-			if nextCTA < totalBlocks {
-				eng.notifyLaunch(p.sm, now)
-				if err := sms[p.sm].LaunchBlock(p.slot, nextCTA); err != nil {
-					se := simerr.Wrap(simerr.KindInvariant, now, err)
-					se.SM = p.sm
-					se.Dump = invariant.BuildDump(now, sms, s.ms)
-					return nil, se
-				}
-				nextCTA++
-				launched = true
-			}
-		}
-		for si, sm := range sms {
-			for _, slot := range sm.FinishedSlots() {
-				pending.push(pendingLaunch{
-					sm: si, slot: slot, at: now + int64(s.Cfg.CTALaunchLat),
-				})
-			}
-		}
-
-		dyn.maybeAdjust(now)
-
-		if tracing && now%s.Cfg.TraceInterval == 0 {
-			eng.materialize(now)
-			s.traceSnapshot(now, sms, nextCTA, launch.GridDim)
-		}
-
-		// Completion: every CTA dispatched and every SM drained.
-		if nextCTA >= totalBlocks && pending.len() == 0 {
-			done := true
-			for _, sm := range sms {
-				if !sm.Idle() {
-					done = false
-					break
-				}
-			}
-			if done {
-				break
-			}
-		}
-
-		// Deadlock detection: forward progress is an SM issuing an
-		// instruction, reported directly by the engine (equivalent to
-		// the old per-cycle sum over every SM's WarpInstrs, which only
-		// changed when an SM issued).
-		if anyIssued {
-			lastProgress = now
-		} else if now-lastProgress > window {
-			return nil, s.hangError(simerr.KindWatchdog, now, sms,
-				fmt.Sprintf("kernel %s: no instruction issued for %d cycles (deadlock?)",
-					launch.Kernel.Name, window))
-		}
-
-		// Idle fast-forward.
-		if ffJumpTo >= 0 {
-			// This was the model cycle. If it stayed quiet (guaranteed
-			// by the horizon; checked for robustness), replay its
-			// counter delta over the skipped cycles and jump.
-			h := ffJumpTo
-			ffJumpTo = -1
-			if !anyIssued && !launched {
-				if skip := h - now - 1; skip > 0 {
-					// Sleeping SMs are excluded: they did not tick the
-					// model cycle (zero delta against the snapshot), and
-					// their skipped cycles are covered exactly by their
-					// own sleep replay, which globalSkip advances below.
-					for i := range sms {
-						if !eng.asleep(i) {
-							sms[i].Stats.ScaleForward(&ffSnap[i], skip)
-						}
-					}
-					eng.globalSkip(now + skip)
-					now += skip // loop increment lands on cycle h
-				}
-			}
-		} else if ffOK && !anyIssued && !launched && now >= ffRetryAt {
-			// Quiet cycle: if no event can land before cycle h, cycles
-			// now+1 .. h-1 are all identical to the next one. Arm a
-			// model cycle when at least one cycle would be skipped.
-			// When the horizon is too close to pay for itself, damp:
-			// nothing the skip could have exploited happens before h,
-			// so don't recompute the horizon until then (quiet cycles
-			// under heavy memory traffic would otherwise pay the
-			// per-SM horizon walk every cycle for no jump — the
-			// memory-side bound itself is memoized and O(1)).
-			h := s.eventHorizon(now, sms, eng, &pending, stride, ckStride, tracing, lastProgress, window, maxCycles)
-			if h > now+2 {
-				if ffSnap == nil {
-					ffSnap = make([]stats.SM, len(sms))
-				}
-				for i, sm := range sms {
-					ffSnap[i] = sm.Stats
-				}
-				ffJumpTo = h
-			} else {
-				ffRetryAt = h
-			}
-		}
+	now, err := r.loop(ctx, pol, start)
+	if err != nil {
+		return nil, err
 	}
-
-	eng.materialize(now) // idle sleeping SMs still hold un-replayed cycles
 	g := &stats.GPU{Cycles: now + 1, ResidentTB: occ.Max}
+	collectSMs(g, sms)
+	s.ms.CollectStats(g)
+	return g, nil
+}
+
+// buildSMs builds a full SM array running one launch; at is the cycle
+// reported on failure.
+func (s *Sim) buildSMs(l *kernel.Launch, occ core.Occupancy, at int64) ([]*smcore.SM, error) {
+	sms := make([]*smcore.SM, s.Cfg.NumSMs)
+	for i := range sms {
+		sm, err := smcore.New(i, &s.Cfg, l, occ, s.ms)
+		if err != nil {
+			return nil, simerr.Wrap(simerr.KindLaunch, at, err)
+		}
+		if s.Faults != nil {
+			sm.SetFaults(s.Faults)
+		}
+		sms[i] = sm
+	}
+	return sms, nil
+}
+
+// collectSMs finalizes every SM's counters into g.
+func collectSMs(g *stats.GPU, sms []*smcore.SM) {
 	for _, sm := range sms {
 		sm.FinalizeStats()
 		g.SMs = append(g.SMs, sm.Stats)
 		g.L1.Add(sm.L1Stats())
 	}
-	s.ms.CollectStats(g)
-	return g, nil
+}
+
+// singleDispatch is RunCtx's dispatch policy: CTAs in linear (row-major)
+// order into any free slot, until the grid is exhausted.
+type singleDispatch struct {
+	name        string
+	next, total int
+}
+
+func (d *singleDispatch) refill(int64, *smcore.SM, int) (int, bool) {
+	if d.next >= d.total {
+		return 0, false
+	}
+	d.next++
+	return d.next - 1, true
+}
+
+func (d *singleDispatch) finished(int64, *smcore.SM, int) {}
+
+// done: every CTA dispatched, no relaunch pending, every SM drained.
+func (d *singleDispatch) done(_ int64, r *run) bool {
+	return d.next >= d.total && r.pending.len() == 0 && allIdle(r.sms)
+}
+
+func (d *singleDispatch) blocks() (int, int) { return d.next, d.total }
+
+func (d *singleDispatch) save(p *payload, r *run) {
+	p.Single = &singleState{
+		NextCTA:      d.next,
+		Pending:      saveQueue(&r.pending),
+		LastProgress: r.lastProgress,
+		DynLast:      append([]int64(nil), r.dyn.last...),
+		DynProbs:     append([]float64(nil), r.dyn.probs...),
+	}
+}
+
+func (d *singleDispatch) hangMsg(watchdog bool, limit int64) string {
+	if watchdog {
+		return fmt.Sprintf("kernel %s: no instruction issued for %d cycles (deadlock?)", d.name, limit)
+	}
+	return fmt.Sprintf("kernel %s exceeded %d cycles", d.name, limit)
 }
 
 // FlushCaches invalidates the persistent L2 partitions.
@@ -471,7 +318,7 @@ func (s *Sim) hangError(kind simerr.Kind, now int64, sms []*smcore.SM, msg strin
 
 // traceSnapshot writes one progress line: cycle, dispatched blocks, and
 // aggregate issue/stall/idle counts.
-func (s *Sim) traceSnapshot(now int64, sms []*smcore.SM, nextCTA, grid int) {
+func (s *Sim) traceSnapshot(now int64, sms []*smcore.SM, dispatched, grid int) {
 	var instrs, stalls, idles int64
 	active := 0
 	for _, sm := range sms {
@@ -481,71 +328,7 @@ func (s *Sim) traceSnapshot(now int64, sms []*smcore.SM, nextCTA, grid int) {
 		active += sm.ActiveBlocks()
 	}
 	fmt.Fprintf(s.Trace, "cycle %9d  blocks %5d/%-5d resident %3d  warpinstrs %10d  stall %9d  idle %9d\n",
-		now, nextCTA, grid, active, instrs, stalls, idles)
-}
-
-// eventHorizon computes the idle fast-forward jump target from cycle
-// now: the earliest future cycle at which anything can happen. Inputs
-// are the memory system's next event (interconnect deliveries, pending
-// L2 hits, DRAM completions and schedulable commands), each SM's next
-// local event (writeback deadlines, LSU busy release), the next pending
-// block launch, and the exact-cycle obligations the jump must not skip
-// over: context polls, invariant audits, checkpoint writes, trace
-// snapshots, the watchdog deadline, and the MaxCycles abort. Because
-// nothing can change state strictly before the returned cycle, skipping
-// those cycles is exact, not approximate.
-//
-// Sleeping SMs are read from the engine instead of walked: a sleeping
-// SM's wake cycle is exactly the horizon bound the walk would compute
-// (its local horizon combined with the earliest deliverable reply,
-// kept current by the reply observer), already memoized — so on a
-// mostly-asleep machine the per-SM wheel scans collapse to O(1) reads.
-// The memory-side bound is memoized the same way: ms.NextEvent reads
-// the event-driven tick's partition horizons (their minimum plus the
-// reply network's cached next-ready) instead of walking every DRAM
-// queue and interconnect port, so arming the horizon is O(1) amortized
-// on the memory side too.
-func (s *Sim) eventHorizon(now int64, sms []*smcore.SM, eng *cycleEngine, pending *launchQueue,
-	stride, ckStride int64, tracing bool, lastProgress, window, maxCycles int64) int64 {
-	h := s.ms.NextEvent(now)
-	if h <= now+2 {
-		return h // too close to arm; skip the per-SM walk
-	}
-	for i, sm := range sms {
-		var at int64
-		if eng.asleep(i) {
-			at = eng.st[i].wakeAt
-		} else {
-			at = sm.ProgressHorizon(now)
-		}
-		if at < h {
-			h = at
-		}
-	}
-	if pending.len() > 0 {
-		if at := pending.front().at; at < h {
-			h = at
-		}
-	}
-	bound := func(at int64) {
-		if at > now && at < h {
-			h = at
-		}
-	}
-	bound((now/cancelStride + 1) * cancelStride)
-	if stride > 0 {
-		bound((now/stride + 1) * stride)
-	}
-	if ckStride > 0 {
-		bound((now/ckStride + 1) * ckStride)
-	}
-	if tracing {
-		ti := int64(s.Cfg.TraceInterval)
-		bound((now/ti + 1) * ti)
-	}
-	bound(lastProgress + window + 1) // the cycle the watchdog would fire
-	bound(maxCycles)
-	return h
+		now, dispatched, grid, active, instrs, stalls, idles)
 }
 
 // dynController implements §IV-C: every DynPeriod cycles each SMi (i>0)
@@ -553,14 +336,16 @@ func (s *Sim) eventHorizon(now int64, sms []*smcore.SM, eng *cycleEngine, pendin
 // which non-owner memory instructions are disabled outright) and steps
 // its issue probability down if it stalled more, up if it stalled less.
 type dynController struct {
-	cfg   *config.Config
-	sms   []*smcore.SM
-	last  []int64
-	probs []float64
+	cfg    *config.Config
+	sms    []*smcore.SM
+	last   []int64
+	probs  []float64
+	window []int64 // scratch, reused every period
 }
 
 func newDynController(cfg *config.Config, sms []*smcore.SM) *dynController {
-	d := &dynController{cfg: cfg, sms: sms, last: make([]int64, len(sms)), probs: make([]float64, len(sms))}
+	d := &dynController{cfg: cfg, sms: sms, last: make([]int64, len(sms)),
+		probs: make([]float64, len(sms)), window: make([]int64, len(sms))}
 	for i := range d.probs {
 		d.probs[i] = 1
 	}
@@ -575,7 +360,7 @@ func (d *dynController) maybeAdjust(now int64) {
 	if period <= 0 || (now+1)%period != 0 {
 		return
 	}
-	window := make([]int64, len(d.sms))
+	window := d.window
 	for i, sm := range d.sms {
 		// The paper's monitor counts stalls in the broad sense; our
 		// split files memory-induced waits under idle, so the window

@@ -15,8 +15,8 @@ import (
 // correctness contract on a memory-bound workload: MUM's divergent
 // pointer chasing keeps requests, DRAM commands, and replies in flight
 // constantly, interleaved with idle memory spans the event-driven tick
-// skips. Every mem-sleep-on engine variant — worker counts,
-// fast-forward and snapshot modes, the env escape hatch, and resuming
+// skips. Every mem-sleep-on engine variant — worker counts, snapshot
+// modes, the env escape hatch, and resuming
 // from a mid-run checkpoint — must produce statistics (per-partition
 // busy/peak counters included) byte-identical to the straight-through
 // reference.
@@ -27,16 +27,18 @@ func TestMemSleepDeterminism(t *testing.T) {
 	ref := runWorkload(t, "MUM", refCfg, 1)
 	refJSON := encodeJSON(t, ref)
 
+	// "workers=gomaxprocs" and "workers=2 ff=off" are stable test IDs
+	// from before the machine-global fast-forward was removed; both now
+	// run a two-worker pool.
 	variants := []struct {
 		name    string
 		workers int
-		noFF    bool
 		noSnap  bool
 	}{
-		{"workers=1", 1, false, false},
-		{"workers=gomaxprocs", 0, false, false},
-		{"workers=2 ff=off", 2, true, false},
-		{"workers=1 nosnapshot", 1, false, true},
+		{"workers=1", 1, false},
+		{"workers=gomaxprocs", 2, false},
+		{"workers=2 ff=off", 2, false},
+		{"workers=1 nosnapshot", 1, true},
 	}
 	if testing.Short() {
 		// check.sh's race leg runs in -short mode: keep the parallel
@@ -47,12 +49,10 @@ func TestMemSleepDeterminism(t *testing.T) {
 	mkCfg := func(v struct {
 		name    string
 		workers int
-		noFF    bool
 		noSnap  bool
 	}) config.Config {
 		cfg := config.Default()
 		cfg.SMWorkers = v.workers
-		cfg.NoFastForward = v.noFF
 		cfg.NoSnapshot = v.noSnap
 		return cfg
 	}
@@ -193,11 +193,9 @@ func TestMemSleepMissedWakeCaught(t *testing.T) {
 
 // BenchmarkComputeBound is the regime the event-driven memory tick
 // targets end to end: a single ALU-bound block keeps SM0 issuing every
-// cycle (so the machine-global fast-forward never arms and every cycle
-// runs the full loop body) while the memory system sits drained. With
-// the straight-through tick every one of those cycles walks all
-// partitions for nothing; event-driven, the walk is one memoized
-// comparison. tools/bench.sh gates its ns/op against
+// cycle while the memory system sits drained. With the straight-through
+// tick every one of those cycles walks all partitions for nothing;
+// event-driven, the walk is one memoized comparison. tools/bench.sh gates its ns/op against
 // BENCH_baseline.json; compare against a GPUSHARE_NOMEMSLEEP=1 run for
 // the mem-sleep speedup itself.
 func BenchmarkComputeBound(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gpushare/internal/core"
-	"gpushare/internal/invariant"
 	"gpushare/internal/kernel"
 	"gpushare/internal/opt/unroll"
 	"gpushare/internal/simerr"
@@ -34,11 +33,10 @@ func (s *Sim) RunMulti(spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GP
 //     resident blocks drain — a deterministic context switch.
 //
 // The run is bit-deterministic for a given (config, spec, launches)
-// regardless of SMWorkers and snapshot mode, like RunCtx. Idle
-// fast-forward is not used (tenants progress at different rates, so a
-// globally frozen cycle is rare and not worth the horizon walks);
-// dynamic warp execution is rejected because its SM0-reference design
-// has no per-tenant meaning.
+// regardless of SMWorkers, sleep and snapshot mode, like RunCtx; every
+// policy runs the same cycle loop as RunCtx (driver.go). Dynamic warp
+// execution is rejected because its SM0-reference design has no
+// per-tenant meaning.
 //
 // The caller validates the spec's workload names; this layer only
 // checks the structural rules it depends on.
@@ -76,8 +74,8 @@ func (s *Sim) RunMultiCtx(ctx context.Context, spec *tenancy.Spec, launches []*k
 }
 
 // runPlaced executes the spatial and co-scheduled policies: one
-// admission decision up front, then a single cycle loop over SMs that
-// host a fixed tenant mix for the whole run.
+// admission decision up front, then one cycle loop over SMs that host a
+// fixed tenant mix for the whole run.
 func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GPU, error) {
 	pl, err := tenancy.Pack(&s.Cfg, launches, spec)
 	if err != nil {
@@ -113,38 +111,18 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		sms = append(sms, sm)
 	}
 
-	stride := s.Cfg.InvariantStride
-	if stride <= 0 {
-		stride = envInvariantStride()
-	}
-	chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
-
 	n := len(launches)
-	next := make([]int, n)      // next CTA to dispatch, per tenant
-	total := make([]int, n)     // grid size, per tenant
-	completed := make([]int, n) // blocks drained, per tenant
-	done := make([]int64, n)    // cycle the tenant's last block drained
-	totalAll := 0
-	for i, l := range launches {
-		total[i] = l.Blocks()
-		totalAll += total[i]
-	}
-
-	var pending launchQueue
-	lastProgress := int64(0)
-	doneAll := 0
-	startAt := int64(0)
-	resumedAt := int64(-1)
-	sink := s.CheckpointSink
-	ckStride := s.Cfg.CheckpointStride
-	if ckStride <= 0 || sink == nil {
-		ckStride, sink = 0, nil
-	}
 	kernels := make([]string, n)
 	for i, l := range launches {
 		kernels[i] = l.Kernel.Name
 	}
-
+	r := s.newRun(sms, modePlaced, kernels, spec)
+	defer r.eng.close()
+	pol := &placedDispatch{policy: spec.Policy, ledger: newLedger(launches)}
+	for _, t := range pol.total {
+		pol.totalAll += t
+	}
+	start := int64(0)
 	if s.RestoreFrom != nil {
 		p, err := s.decodePayload(s.RestoreFrom, modePlaced, kernels, spec)
 		if err != nil {
@@ -159,150 +137,21 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 				"checkpoint dispatch ledgers cover %d/%d/%d tenants, run has %d",
 				len(st.Next), len(st.Completed), len(st.Done), n)
 		}
-		copy(next, st.Next)
-		copy(completed, st.Completed)
-		copy(done, st.Done)
-		doneAll = st.DoneAll
-		if pending, err = loadQueue(st.Pending, len(sms)); err != nil {
+		pol.restore(st.Next, st.Completed, st.Done)
+		pol.doneAll = st.DoneAll
+		if err := r.resume(p.Cycle, st.LastProgress, st.Pending); err != nil {
 			return nil, err
 		}
-		lastProgress = st.LastProgress
-		startAt = p.Cycle
-		resumedAt = p.Cycle
-	} else {
-		// Initial fill: round-robin one local slot depth at a time across
-		// SMs and tenants, the multi-tenant analog of RunCtx's slot-major
-		// breadth-first dispatch.
-		for r := 0; ; r++ {
-			any := false
-			for _, sm := range sms {
-				for li := 0; li < sm.Tenants(); li++ {
-					base, cnt := sm.TenantSlots(li)
-					if r >= cnt {
-						continue
-					}
-					ti := sm.TenantID(li)
-					if next[ti] >= total[ti] {
-						continue
-					}
-					if err := sm.LaunchBlock(base+r, next[ti]); err != nil {
-						return nil, simerr.Wrap(simerr.KindInvariant, -1, err)
-					}
-					next[ti]++
-					any = true
-				}
-			}
-			if !any {
-				break
-			}
-		}
+		start = p.Cycle
+	} else if err := r.fill(-1, pol); err != nil {
+		return nil, err
 	}
-
-	maxCycles := s.Cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles
-	}
-	window := s.Cfg.ProgressWindow
-	if window <= 0 {
-		window = progressWindow
-	}
-
-	workers := s.Cfg.SMWorkers
-	if s.Faults != nil {
-		workers = 1
-	}
-	eng := newCycleEngine(sms, workers, s.engineOpts())
-	defer eng.close()
-	chk.SetSleepSource(eng)
 	s.armMemSleep()
 
-	var now int64
-	for now = startAt; ; now++ {
-		if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-			eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
-			p, err := s.newPayload(modePlaced, kernels, spec, now, sms)
-			if err != nil {
-				return nil, err
-			}
-			p.Placed = &placedState{
-				Next:         append([]int(nil), next...),
-				Completed:    append([]int(nil), completed...),
-				Done:         append([]int64(nil), done...),
-				DoneAll:      doneAll,
-				Pending:      saveQueue(&pending),
-				LastProgress: lastProgress,
-			}
-			blob, err := encodePayload(p)
-			if err != nil {
-				return nil, err
-			}
-			if err := sink.Put(now, blob); err != nil {
-				return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
-			}
-		}
-		if now >= maxCycles {
-			return nil, s.hangError(simerr.KindMaxCycles, now, sms,
-				fmt.Sprintf("multi-tenant run (%s) exceeded %d cycles", spec.Policy, maxCycles))
-		}
-		if now&(cancelStride-1) == 0 && ctx.Err() != nil {
-			return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
-		}
-		anyIssued, err := eng.tick(now)
-		if err != nil {
-			if se, ok := simerr.As(err); ok && se.Dump == nil {
-				se.Dump = invariant.BuildDump(now, sms, s.ms)
-			}
-			return nil, err
-		}
-		s.ms.Tick(now)
-
-		if err := chk.Check(now); err != nil {
-			return nil, err
-		}
-
-		// Refill freed slots with the owning tenant's next CTA.
-		for pending.len() > 0 && pending.front().at <= now {
-			p := pending.pop()
-			ti := sms[p.sm].TenantOfSlot(p.slot)
-			if next[ti] < total[ti] {
-				eng.notifyLaunch(p.sm, now)
-				if err := sms[p.sm].LaunchBlock(p.slot, next[ti]); err != nil {
-					se := simerr.Wrap(simerr.KindInvariant, now, err)
-					se.SM = sms[p.sm].ID
-					se.Dump = invariant.BuildDump(now, sms, s.ms)
-					return nil, se
-				}
-				next[ti]++
-			}
-		}
-		for si, sm := range sms {
-			for _, slot := range sm.FinishedSlots() {
-				ti := sm.TenantOfSlot(slot)
-				completed[ti]++
-				doneAll++
-				if completed[ti] == total[ti] {
-					done[ti] = now
-				}
-				pending.push(pendingLaunch{
-					sm: si, slot: slot, at: now + int64(s.Cfg.CTALaunchLat),
-				})
-			}
-		}
-
-		if doneAll >= totalAll {
-			break
-		}
-
-		if anyIssued {
-			lastProgress = now
-		} else if now-lastProgress > window {
-			return nil, s.hangError(simerr.KindWatchdog, now, sms,
-				fmt.Sprintf("multi-tenant run (%s): no instruction issued for %d cycles (deadlock?)",
-					spec.Policy, window))
-		}
+	now, err := r.loop(ctx, pol, start)
+	if err != nil {
+		return nil, err
 	}
-
-	eng.materialize(now) // sleeping SMs still hold un-replayed cycles
 	g := &stats.GPU{Cycles: now + 1}
 	for si := range pl.SMs {
 		slots := 0
@@ -313,14 +162,97 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 			g.ResidentTB = slots
 		}
 	}
-	for _, sm := range sms {
-		sm.FinalizeStats()
-		g.SMs = append(g.SMs, sm.Stats)
-		g.L1.Add(sm.L1Stats())
-	}
-	g.Tenants = collectTenants(spec, sms, done)
+	collectSMs(g, sms)
+	g.Tenants = collectTenants(spec, sms, pol.doneAt)
 	s.ms.CollectStats(g)
 	return g, nil
+}
+
+// ledger is a multi-tenant run's per-tenant dispatch bookkeeping.
+type ledger struct {
+	next      []int   // next CTA to dispatch
+	total     []int   // grid size
+	completed []int   // blocks drained
+	doneAt    []int64 // cycle the tenant's last block drained
+}
+
+func newLedger(launches []*kernel.Launch) ledger {
+	n := len(launches)
+	l := ledger{next: make([]int, n), total: make([]int, n), completed: make([]int, n), doneAt: make([]int64, n)}
+	for i, k := range launches {
+		l.total[i] = k.Blocks()
+	}
+	return l
+}
+
+// take hands out tenant ti's next CTA, if any remain.
+func (l *ledger) take(ti int) (int, bool) {
+	if l.next[ti] >= l.total[ti] {
+		return 0, false
+	}
+	l.next[ti]++
+	return l.next[ti] - 1, true
+}
+
+// finish records one of tenant ti's blocks draining at cycle now.
+func (l *ledger) finish(ti int, now int64) {
+	l.completed[ti]++
+	if l.completed[ti] == l.total[ti] {
+		l.doneAt[ti] = now
+	}
+}
+
+func (l *ledger) restore(next, completed []int, done []int64) {
+	copy(l.next, next)
+	copy(l.completed, completed)
+	copy(l.doneAt, done)
+}
+
+// blocks sums the ledger over tenants, for trace snapshots.
+func (l *ledger) blocks() (dispatched, total int) {
+	for i := range l.next {
+		dispatched += l.next[i]
+		total += l.total[i]
+	}
+	return dispatched, total
+}
+
+// placedDispatch is runPlaced's dispatch policy: a freed slot takes its
+// owning tenant's next CTA; the run ends when every tenant's blocks
+// have drained.
+type placedDispatch struct {
+	ledger
+	policy            tenancy.Policy
+	doneAll, totalAll int
+}
+
+func (d *placedDispatch) refill(_ int64, sm *smcore.SM, slot int) (int, bool) {
+	return d.take(sm.TenantOfSlot(slot))
+}
+
+func (d *placedDispatch) finished(now int64, sm *smcore.SM, slot int) {
+	d.finish(sm.TenantOfSlot(slot), now)
+	d.doneAll++
+}
+
+func (d *placedDispatch) done(int64, *run) bool { return d.doneAll >= d.totalAll }
+
+func (d *placedDispatch) save(p *payload, r *run) {
+	p.Placed = &placedState{
+		Next:         append([]int(nil), d.next...),
+		Completed:    append([]int(nil), d.completed...),
+		Done:         append([]int64(nil), d.doneAt...),
+		DoneAll:      d.doneAll,
+		Pending:      saveQueue(&r.pending),
+		LastProgress: r.lastProgress,
+	}
+}
+
+func (d *placedDispatch) hangMsg(watchdog bool, limit int64) string {
+	if watchdog {
+		return fmt.Sprintf("multi-tenant run (%s): no instruction issued for %d cycles (deadlock?)", d.policy, limit)
+	}
+	return fmt.Sprintf("multi-tenant run (%s) exceeded %d cycles", d.policy, limit)
 }
 
 // runTimeSlice executes the time-slicing policy: tenants own the whole
@@ -339,57 +271,24 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 				"tenant %d: kernel %s does not fit on an SM (%s)", i, l.Kernel.Name, occs[i].Limiter)
 		}
 	}
-
-	stride := s.Cfg.InvariantStride
-	if stride <= 0 {
-		stride = envInvariantStride()
-	}
-	maxCycles := s.Cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles
-	}
-	window := s.Cfg.ProgressWindow
-	if window <= 0 {
-		window = progressWindow
-	}
-	workers := s.Cfg.SMWorkers
-	if s.Faults != nil {
-		workers = 1
-	}
-
-	next := make([]int, n)
-	total := make([]int, n)
-	completed := make([]int, n)
-	done := make([]int64, n)
-	remaining := n
-	for i, l := range launches {
-		total[i] = l.Blocks()
-	}
-
-	g := &stats.GPU{}
-	tenAgg := make([]stats.Tenant, n)
-	for i := range tenAgg {
-		tenAgg[i].Name = spec.TenantName(i)
-		tenAgg[i].Workload = spec.Tenants[i].Workload
-	}
-
-	startTi := 0
-	resumedAt := int64(-1)
-	sink := s.CheckpointSink
-	ckStride := s.Cfg.CheckpointStride
-	if ckStride <= 0 || sink == nil {
-		ckStride, sink = 0, nil
-	}
 	kernels := make([]string, n)
 	for i, l := range launches {
 		kernels[i] = l.Kernel.Name
 	}
 
+	pol := &sliceDispatch{ledger: newLedger(launches), remaining: n,
+		agg: &stats.GPU{}, tenAgg: make([]stats.Tenant, n)}
+	for i := range pol.tenAgg {
+		pol.tenAgg[i].Name = spec.TenantName(i)
+		pol.tenAgg[i].Workload = spec.Tenants[i].Workload
+	}
+
 	// rs, when non-nil, is a decoded checkpoint to resume from: the
-	// first outer-loop iteration restores tenant rs.Slice.Tenant's
-	// in-progress slice (possibly mid-quantum, possibly draining)
-	// instead of building and filling a fresh one.
+	// first slice restores tenant rs.Slice.Tenant's in-progress slice
+	// (possibly mid-quantum, possibly draining) instead of building and
+	// filling a fresh one.
 	var rs *payload
+	startTi := 0
 	if s.RestoreFrom != nil {
 		p, err := s.decodePayload(s.RestoreFrom, modeTimeslice, kernels, spec)
 		if err != nil {
@@ -405,12 +304,10 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			return nil, simerr.New(simerr.KindCheckpoint, p.Cycle,
 				"checkpoint slice tenant %d out of range (%d tenants)", st.Tenant, n)
 		}
-		copy(next, st.Next)
-		copy(completed, st.Completed)
-		copy(done, st.Done)
-		remaining = st.Remaining
-		*g = st.Agg
-		copy(tenAgg, st.TenAgg)
+		pol.restore(st.Next, st.Completed, st.Done)
+		pol.remaining = st.Remaining
+		*pol.agg = st.Agg
+		copy(pol.tenAgg, st.TenAgg)
 		startTi = st.Tenant
 		rs = p
 	}
@@ -420,206 +317,139 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 	s.armMemSleep()
 
 	now := int64(0)
-	for ti := startTi; remaining > 0; ti = (ti + 1) % n {
+	for ti := startTi; pol.remaining > 0; ti = (ti + 1) % n {
 		// A resumed slice may already be draining (all CTAs completed,
 		// blocks still resident), so the skip applies only to fresh
 		// slices.
-		if rs == nil && completed[ti] >= total[ti] {
+		if rs == nil && pol.completed[ti] >= pol.total[ti] {
 			continue
 		}
-		l, occ := launches[ti], occs[ti]
-		sms := make([]*smcore.SM, s.Cfg.NumSMs)
-		for i := range sms {
-			sm, err := smcore.New(i, &s.Cfg, l, occ, s.ms)
-			if err != nil {
-				return nil, simerr.Wrap(simerr.KindLaunch, now, err)
-			}
-			if s.Faults != nil {
-				sm.SetFaults(s.Faults)
-			}
-			sms[i] = sm
+		pol.ti = ti
+		end, err := s.runSlice(ctx, spec, launches[ti], occs[ti], pol, kernels, rs, now)
+		if err != nil {
+			return nil, err
 		}
-		chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
-		eng := newCycleEngine(sms, workers, s.engineOpts())
-		chk.SetSleepSource(eng)
-
-		var pending launchQueue
-		var sliceEnd, lastProgress int64
-		if rs != nil {
-			if err := s.restoreMachine(rs, sms); err != nil {
-				eng.close()
-				return nil, err
-			}
-			st := rs.Slice
-			var err error
-			if pending, err = loadQueue(st.Pending, len(sms)); err != nil {
-				eng.close()
-				return nil, err
-			}
-			now = rs.Cycle
-			sliceEnd = st.SliceEnd
-			lastProgress = st.LastProgress
-			resumedAt = rs.Cycle
-			rs = nil
-		} else {
-			for slot := 0; slot < occ.Max && next[ti] < total[ti]; slot++ {
-				for _, sm := range sms {
-					if next[ti] >= total[ti] {
-						break
-					}
-					if err := sm.LaunchBlock(slot, next[ti]); err != nil {
-						eng.close()
-						return nil, simerr.Wrap(simerr.KindInvariant, now, err)
-					}
-					next[ti]++
-				}
-			}
-			sliceEnd = now + spec.QuotaCycles
-			lastProgress = now
-		}
-		for ; ; now++ {
-			if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-				eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
-				p, err := s.newPayload(modeTimeslice, kernels, spec, now, sms)
-				if err != nil {
-					eng.close()
-					return nil, err
-				}
-				p.Slice = &sliceState{
-					Tenant:       ti,
-					SliceEnd:     sliceEnd,
-					Next:         append([]int(nil), next...),
-					Completed:    append([]int(nil), completed...),
-					Done:         append([]int64(nil), done...),
-					Remaining:    remaining,
-					Pending:      saveQueue(&pending),
-					LastProgress: lastProgress,
-					Agg:          *g,
-					TenAgg:       append([]stats.Tenant(nil), tenAgg...),
-				}
-				blob, err := encodePayload(p)
-				if err != nil {
-					eng.close()
-					return nil, err
-				}
-				if err := sink.Put(now, blob); err != nil {
-					eng.close()
-					return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
-				}
-			}
-			if now >= maxCycles {
-				eng.close()
-				return nil, s.hangError(simerr.KindMaxCycles, now, sms,
-					fmt.Sprintf("timeslice run exceeded %d cycles (tenant %d's slice)", maxCycles, ti))
-			}
-			if now&(cancelStride-1) == 0 && ctx.Err() != nil {
-				eng.close()
-				return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
-			}
-			anyIssued, err := eng.tick(now)
-			if err != nil {
-				eng.close()
-				if se, ok := simerr.As(err); ok && se.Dump == nil {
-					se.Dump = invariant.BuildDump(now, sms, s.ms)
-				}
-				return nil, err
-			}
-			s.ms.Tick(now)
-			if err := chk.Check(now); err != nil {
-				eng.close()
-				return nil, err
-			}
-
-			// Refill only inside the quota; past the boundary the slice
-			// is draining and freed slots stay empty (their CTAs go to
-			// this tenant's next slice).
-			for pending.len() > 0 && pending.front().at <= now {
-				p := pending.pop()
-				if now < sliceEnd && next[ti] < total[ti] {
-					eng.notifyLaunch(p.sm, now)
-					if err := sms[p.sm].LaunchBlock(p.slot, next[ti]); err != nil {
-						eng.close()
-						se := simerr.Wrap(simerr.KindInvariant, now, err)
-						se.SM = p.sm
-						se.Dump = invariant.BuildDump(now, sms, s.ms)
-						return nil, se
-					}
-					next[ti]++
-				}
-			}
-			for si, sm := range sms {
-				for _, slot := range sm.FinishedSlots() {
-					completed[ti]++
-					if completed[ti] == total[ti] {
-						done[ti] = now
-					}
-					pending.push(pendingLaunch{
-						sm: si, slot: slot, at: now + int64(s.Cfg.CTALaunchLat),
-					})
-				}
-			}
-
-			if completed[ti] >= total[ti] || now >= sliceEnd {
-				idle := true
-				for _, sm := range sms {
-					if !sm.Idle() {
-						idle = false
-						break
-					}
-				}
-				if idle {
-					break
-				}
-			}
-
-			if anyIssued {
-				lastProgress = now
-			} else if now-lastProgress > window {
-				eng.close()
-				return nil, s.hangError(simerr.KindWatchdog, now, sms,
-					fmt.Sprintf("timeslice run: no instruction issued for %d cycles in tenant %d's slice (deadlock?)",
-						window, ti))
-			}
-		}
-		// A slice ends only when every SM is idle, so any still-sleeping
-		// SM is idle (zero per-cycle delta) — materialize regardless, so
-		// the replay bookkeeping is settled before stats collection.
-		eng.materialize(now)
-		eng.close()
-
-		slice := &stats.GPU{ResidentTB: occ.Max}
-		var st stats.Tenant
-		peak, slots := 0, 0
-		for _, sm := range sms {
-			sm.FinalizeStats()
-			slice.SMs = append(slice.SMs, sm.Stats)
-			slice.L1.Add(sm.L1Stats())
-			ts := sm.TenantStats(0)
-			st.AddCounters(&ts)
-			peak += ts.MaxResidentTB
-			slots += ts.ResidentSlots
-		}
-		g.Merge(slice)
-		agg := &tenAgg[ti]
-		agg.AddCounters(&st)
-		if peak > agg.MaxResidentTB {
-			agg.MaxResidentTB = peak
-		}
-		agg.ResidentSlots = slots
-		agg.SMs = len(sms)
-		if completed[ti] >= total[ti] {
-			remaining--
-		}
-		now++ // the next slice starts on the cycle after this one's last
+		rs = nil
+		now = end + 1 // the next slice starts on the cycle after this one's last
 	}
 
+	g := pol.agg
 	g.Cycles = now
-	for i := range tenAgg {
-		tenAgg[i].Cycles = done[i] + 1
+	for i := range pol.tenAgg {
+		pol.tenAgg[i].Cycles = pol.doneAt[i] + 1
 	}
-	g.Tenants = tenAgg
+	g.Tenants = pol.tenAgg
 	s.ms.CollectStats(g)
 	return g, nil
+}
+
+// runSlice runs tenant pol.ti's slice from cycle now (or from the
+// checkpoint rs, when non-nil) until its blocks drain, merges the
+// slice's statistics into pol's aggregates, and returns the slice's
+// last cycle.
+func (s *Sim) runSlice(ctx context.Context, spec *tenancy.Spec, l *kernel.Launch, occ core.Occupancy,
+	pol *sliceDispatch, kernels []string, rs *payload, now int64) (int64, error) {
+	sms, err := s.buildSMs(l, occ, now)
+	if err != nil {
+		return 0, err
+	}
+	r := s.newRun(sms, modeTimeslice, kernels, spec)
+	defer r.eng.close()
+	if rs != nil {
+		if err := s.restoreMachine(rs, sms); err != nil {
+			return 0, err
+		}
+		if err := r.resume(rs.Cycle, rs.Slice.LastProgress, rs.Slice.Pending); err != nil {
+			return 0, err
+		}
+		now = rs.Cycle
+		pol.sliceEnd = rs.Slice.SliceEnd
+	} else {
+		pol.sliceEnd = now + spec.QuotaCycles
+		r.lastProgress = now
+		if err := r.fill(now, pol); err != nil {
+			return 0, err
+		}
+	}
+
+	end, err := r.loop(ctx, pol, now)
+	if err != nil {
+		return 0, err
+	}
+	slice := &stats.GPU{ResidentTB: occ.Max}
+	collectSMs(slice, sms)
+	var st stats.Tenant
+	peak, slots := 0, 0
+	for _, sm := range sms {
+		ts := sm.TenantStats(0)
+		st.AddCounters(&ts)
+		peak += ts.MaxResidentTB
+		slots += ts.ResidentSlots
+	}
+	pol.agg.Merge(slice)
+	agg := &pol.tenAgg[pol.ti]
+	agg.AddCounters(&st)
+	if peak > agg.MaxResidentTB {
+		agg.MaxResidentTB = peak
+	}
+	agg.ResidentSlots = slots
+	agg.SMs = len(sms)
+	if pol.completed[pol.ti] >= pol.total[pol.ti] {
+		pol.remaining--
+	}
+	return end, nil
+}
+
+// sliceDispatch is the time-slice dispatch policy. It persists across
+// slices: ti is the tenant holding the GPU, sliceEnd its quota
+// boundary, and the ledgers and aggregates span the whole run.
+type sliceDispatch struct {
+	ledger
+	ti        int
+	sliceEnd  int64
+	remaining int // tenants with blocks left to complete
+	agg       *stats.GPU
+	tenAgg    []stats.Tenant
+}
+
+// refill dispatches only inside the quota; past the boundary the slice
+// is draining and freed slots stay empty (their CTAs go to this
+// tenant's next slice).
+func (d *sliceDispatch) refill(now int64, _ *smcore.SM, _ int) (int, bool) {
+	if now >= d.sliceEnd {
+		return 0, false
+	}
+	return d.take(d.ti)
+}
+
+func (d *sliceDispatch) finished(now int64, _ *smcore.SM, _ int) { d.finish(d.ti, now) }
+
+// done: the tenant's grid completed or its quota expired, and every
+// resident block has drained.
+func (d *sliceDispatch) done(now int64, r *run) bool {
+	return (d.completed[d.ti] >= d.total[d.ti] || now >= d.sliceEnd) && allIdle(r.sms)
+}
+
+func (d *sliceDispatch) save(p *payload, r *run) {
+	p.Slice = &sliceState{
+		Tenant:       d.ti,
+		SliceEnd:     d.sliceEnd,
+		Next:         append([]int(nil), d.next...),
+		Completed:    append([]int(nil), d.completed...),
+		Done:         append([]int64(nil), d.doneAt...),
+		Remaining:    d.remaining,
+		Pending:      saveQueue(&r.pending),
+		LastProgress: r.lastProgress,
+		Agg:          *d.agg,
+		TenAgg:       append([]stats.Tenant(nil), d.tenAgg...),
+	}
+}
+
+func (d *sliceDispatch) hangMsg(watchdog bool, limit int64) string {
+	if watchdog {
+		return fmt.Sprintf("timeslice run: no instruction issued for %d cycles in tenant %d's slice (deadlock?)", limit, d.ti)
+	}
+	return fmt.Sprintf("timeslice run exceeded %d cycles (tenant %d's slice)", limit, d.ti)
 }
 
 // collectTenants assembles the per-tenant breakdown for a placed run:

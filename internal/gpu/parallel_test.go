@@ -67,33 +67,37 @@ var engineCases = []struct {
 }
 
 // TestEngineDeterminism is the tentpole's correctness contract: the
-// parallel cycle engine and the idle fast-forward are engine knobs, not
-// simulation parameters. Every (SMWorkers, NoFastForward) combination
-// must produce statistics deep-equal — and, via the canonical JSON
-// encoding, byte-identical — to the reference sequential engine with
-// fast-forward disabled (the seed's exact cycle-by-cycle path).
+// parallel cycle engine, snapshot mode and the sleep machinery are
+// engine knobs, not simulation parameters. Every variant must produce
+// statistics deep-equal — and, via the canonical JSON encoding,
+// byte-identical — to the reference: the sequential engine with SM and
+// memory sleep off, which ticks every SM and memory partition every
+// cycle.
+//
+// The variant names are kept as stable test IDs from before the
+// machine-global idle fast-forward was removed: "ff=on"/"ff=off" no
+// longer select anything, and "workers=gomaxprocs" runs an explicit
+// two-worker pool.
 func TestEngineDeterminism(t *testing.T) {
 	variants := []struct {
 		name    string
 		workers int
-		noFF    bool
 		noSnap  bool
 		noSleep bool
 	}{
-		{"workers=1 ff=on", 1, false, false, false},
-		{"workers=gomaxprocs ff=on", 0, false, false, false},
-		{"workers=2 ff=off", 2, true, false, false},
+		{"workers=1 ff=on", 1, false, false},
+		{"workers=gomaxprocs ff=on", 2, false, false},
+		{"workers=2 ff=off", 2, false, false},
 		// NoSnapshot disables the ready-set engine's cached warp
 		// snapshots and incremental rankings; the recompute path must
 		// stay bit-identical (the reference runs with snapshots on).
-		{"workers=1 ff=on nosnapshot", 1, false, true, false},
-		{"workers=2 ff=off nosnapshot", 2, true, true, false},
-		// NoSMSleep disables the per-SM sleep/wake fast-forward; the
-		// reference runs with sleep off, so these legs prove the awake
-		// engine is unchanged while the legs above prove sleep replays
-		// are exact.
-		{"workers=1 ff=on nosleep", 1, false, false, true},
-		{"workers=2 ff=off nosleep", 2, true, false, true},
+		{"workers=1 ff=on nosnapshot", 1, true, false},
+		{"workers=2 ff=off nosnapshot", 2, true, false},
+		// NoSMSleep disables per-SM sleep/wake; the reference runs with
+		// sleep off, so these legs prove the awake engine is unchanged
+		// while the legs above prove sleep replays are exact.
+		{"workers=1 ff=on nosleep", 1, false, true},
+		{"workers=2 ff=off nosleep", 2, false, true},
 	}
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -102,8 +106,8 @@ func TestEngineDeterminism(t *testing.T) {
 			}
 			refCfg := c.cfg()
 			refCfg.SMWorkers = 1
-			refCfg.NoFastForward = true
 			refCfg.NoSMSleep = true
+			refCfg.NoMemSleep = true
 			ref := runWorkload(t, c.workload, refCfg, 1)
 			refJSON, err := ref.EncodeJSON()
 			if err != nil {
@@ -113,7 +117,6 @@ func TestEngineDeterminism(t *testing.T) {
 				t.Run(v.name, func(t *testing.T) {
 					cfg := c.cfg()
 					cfg.SMWorkers = v.workers
-					cfg.NoFastForward = v.noFF
 					cfg.NoSnapshot = v.noSnap
 					cfg.NoSMSleep = v.noSleep
 					g := runWorkload(t, c.workload, cfg, 1)
@@ -133,7 +136,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 			// Checkpoint/restore is an engine knob too: (a) taking
 			// snapshots must not perturb the run, and (b) resuming from
-			// any snapshot — under any worker count, fast-forward, or
+			// any snapshot — under any worker count, sleep or
 			// snapshot mode — must reproduce the straight-through bytes
 			// exactly.
 			t.Run("restore", func(t *testing.T) {
@@ -161,7 +164,6 @@ func TestEngineDeterminism(t *testing.T) {
 				for _, v := range variants {
 					cfg := c.cfg()
 					cfg.SMWorkers = v.workers
-					cfg.NoFastForward = v.noFF
 					cfg.NoSnapshot = v.noSnap
 					cfg.NoSMSleep = v.noSleep
 					if j := encodeJSON(t, runWorkloadCK(t, c.workload, cfg, 1, nil, sink.Get(mid))); j != string(refJSON) {

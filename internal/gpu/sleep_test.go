@@ -32,13 +32,12 @@ func sleepChainKernel(tb testing.TB) *kernel.Kernel {
 }
 
 // memBoundKernel is the blocked-heavy benchmark workload: block 0 runs
-// a long dependent ALU loop (its SM keeps issuing, so the machine-global
-// idle fast-forward never arms), odd blocks chase a chain of dependent
-// global loads and spend most of their lives blocked on memory replies,
-// and the remaining even blocks run dependent SFU chains blocked on the
-// special-function pipeline. With one warp per block, nearly every SM
-// except SM0 is asleep on most cycles — the profile the per-SM sleep
-// machinery targets.
+// a long dependent ALU loop (its SM keeps issuing), odd blocks chase a
+// chain of dependent global loads and spend most of their lives blocked
+// on memory replies, and the remaining even blocks run dependent SFU
+// chains blocked on the special-function pipeline. With one warp per
+// block, nearly every SM except SM0 is asleep on most cycles — the
+// profile the per-SM sleep machinery targets.
 func memBoundKernel(tb testing.TB) *kernel.Kernel {
 	tb.Helper()
 	b := kernel.NewBuilder("membound", 32)
@@ -87,8 +86,7 @@ func memBoundKernel(tb testing.TB) *kernel.Kernel {
 	b.Bra("end")
 
 	// ALU path: interleaved independent accumulator chains, so SM0
-	// issues nearly every cycle for the whole run — the machine-global
-	// fast-forward never sees a quiet machine.
+	// issues nearly every cycle for the whole run.
 	b.Label("alu")
 	b.MovI(6, 0)
 	b.MovI(7, 0)
@@ -113,7 +111,7 @@ func memBoundKernel(tb testing.TB) *kernel.Kernel {
 // workload where sleep actually dominates: MUM's divergent pointer
 // chasing keeps most warps blocked on memory replies, so SMs sleep and
 // wake constantly. Every sleep-on engine variant — worker counts,
-// fast-forward and snapshot modes, the env escape hatch, and resuming
+// snapshot modes, the env escape hatch, and resuming
 // from a checkpoint taken mid-run by a sleeping machine — must produce
 // statistics byte-identical to the sequential sleep-off reference.
 func TestSMSleepDeterminism(t *testing.T) {
@@ -123,26 +121,26 @@ func TestSMSleepDeterminism(t *testing.T) {
 	ref := runWorkload(t, "MUM", refCfg, 1)
 	refJSON := encodeJSON(t, ref)
 
+	// "workers=gomaxprocs" and "workers=2 ff=off" are stable test IDs
+	// from before the machine-global fast-forward was removed; both now
+	// run a two-worker pool.
 	variants := []struct {
 		name    string
 		workers int
-		noFF    bool
 		noSnap  bool
 	}{
-		{"workers=1", 1, false, false},
-		{"workers=gomaxprocs", 0, false, false},
-		{"workers=2 ff=off", 2, true, false},
-		{"workers=1 nosnapshot", 1, false, true},
+		{"workers=1", 1, false},
+		{"workers=gomaxprocs", 2, false},
+		{"workers=2 ff=off", 2, false},
+		{"workers=1 nosnapshot", 1, true},
 	}
 	mkCfg := func(v struct {
 		name    string
 		workers int
-		noFF    bool
 		noSnap  bool
 	}) config.Config {
 		cfg := config.Default()
 		cfg.SMWorkers = v.workers
-		cfg.NoFastForward = v.noFF
 		cfg.NoSnapshot = v.noSnap
 		return cfg
 	}
@@ -335,8 +333,7 @@ func TestSMSleepMissedWakeCaught(t *testing.T) {
 
 // BenchmarkSMSleepMemBound is the blocked-heavy profile the per-SM
 // sleep targets, at a paper-scale SM count: one SM stays busy on an
-// ALU loop (defeating the machine-global idle fast-forward) while
-// every other SM spends most cycles blocked — half on dependent global
+// ALU loop while every other SM spends most cycles blocked — half on dependent global
 // loads, half on SFU pipeline latency. tools/bench.sh gates its ns/op
 // against BENCH_baseline.json; compare against a GPUSHARE_NOSMSLEEP=1
 // run for the sleep speedup itself.

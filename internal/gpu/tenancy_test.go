@@ -92,7 +92,10 @@ func TestTenancyDeterminism(t *testing.T) {
 		noSnap  bool
 		noSleep bool
 	}{
-		{"workers=gomaxprocs", 0, false, false},
+		// "workers=gomaxprocs" is a stable test ID from before the
+		// sequential engine became the default; it runs a two-worker
+		// pool.
+		{"workers=gomaxprocs", 2, false, false},
 		{"workers=2", 2, false, false},
 		{"workers=1 nosnapshot", 1, true, false},
 		{"workers=2 nosnapshot", 2, true, false},

@@ -4,7 +4,7 @@ import "testing"
 
 // TestEngineWorkersTableIdentical: the cycle-engine worker count is
 // invisible in experiment output. A session whose simulations run on
-// the parallel engine (SMWorkers=0, GOMAXPROCS workers per simulation)
+// the parallel engine (SMWorkers=2, a two-worker pool per simulation)
 // renders a table byte-identical to a session pinned to the sequential
 // engine. The sessions share no cache, so both genuinely simulate —
 // this is an engine-determinism check, not a cache-identity check.
@@ -24,7 +24,7 @@ func TestEngineWorkersTableIdentical(t *testing.T) {
 	}
 
 	par := NewSession(1)
-	par.SMWorkers = 0
+	par.SMWorkers = 2
 	parRuns := 0
 	par.Progress = func(string) { parRuns++ }
 	parTab, err := par.Experiment(id)

@@ -209,8 +209,8 @@ type Session struct {
 	// (0 = runtime.GOMAXPROCS(0); 1 preserves sequential execution).
 	Workers int
 	// SMWorkers sets every simulation's cycle-engine worker count
-	// (config.Config.SMWorkers): 0 = GOMAXPROCS, 1 = the sequential
-	// engine. An engine knob, not part of the simulated machine:
+	// (config.Config.SMWorkers): 0 or 1 = the sequential engine, 2 or
+	// more = a worker pool of that size. An engine knob, not part of the simulated machine:
 	// results are bit-identical at any worker count, and it is excluded
 	// from cache keys.
 	SMWorkers int

@@ -52,15 +52,15 @@ type Channel struct {
 	dataLat  int64
 	Stats    stats.DRAM
 
-	// memoNext caches the channel's next event time as an absolute
+	// memoAt caches the channel's next event time as an absolute
 	// cycle (math.MaxInt64 when empty), valid while memoOK. Bank state
 	// is frozen between scheduled commands, so the memo only goes stale
 	// when a command issues or a transfer completes — both invalidate
 	// it for a lazy rescan — while an enqueue folds the new request's
 	// schedulable time in incrementally. NextEvent is therefore O(1)
 	// amortized on idle channels instead of a per-call queue walk.
-	memoNext int64
-	memoOK   bool
+	memoAt int64
+	memoOK bool
 }
 
 // NewChannel returns a channel with the given bank count and timing.
@@ -91,8 +91,8 @@ func (c *Channel) rowOf(addr uint32) int64 {
 // Enqueue adds a request to the channel queue.
 func (c *Channel) Enqueue(r *Request) {
 	if c.memoOK {
-		if at := c.schedulableAt(r); at < c.memoNext {
-			c.memoNext = at
+		if at := c.schedulableAt(r); at < c.memoAt {
+			c.memoAt = at
 		}
 	}
 	c.queue = append(c.queue, r)
@@ -153,10 +153,10 @@ func (c *Channel) Tick(now int64) []*Request {
 // command issue or completion invalidated the memo.
 func (c *Channel) NextEvent(now int64) int64 {
 	if !c.memoOK {
-		c.memoNext = c.nextEventAbs()
+		c.memoAt = c.nextEventAbs()
 		c.memoOK = true
 	}
-	at := c.memoNext
+	at := c.memoAt
 	if at == math.MaxInt64 {
 		return at
 	}

@@ -351,9 +351,9 @@ func (s *System) scanHorizon(pi int, p *partition, now int64) int64 {
 
 // AuditMemIdle cross-checks the event-driven tick's memoized horizons
 // against from-scratch recomputes: every partition horizon must match
-// its scan, the global early-out bound must be their minimum, and the
-// interconnect memos must match their port scans. Returns nil when the
-// system is not event-driven. Read-only; invariant class mem-idle.
+// its scan and the global early-out bound must be their minimum.
+// Returns nil when the system is not event-driven. Read-only; invariant
+// class mem-idle.
 func (s *System) AuditMemIdle(now int64) error {
 	if !s.sleep {
 		return nil
@@ -377,12 +377,6 @@ func (s *System) AuditMemIdle(now int64) error {
 	}
 	if s.nextAt != min {
 		return fmt.Errorf("memory system early-out bound %d != minimum partition horizon %d", s.nextAt, min)
-	}
-	if memo, scan := s.toMem.NextReady(now), s.toMem.NextReadyScan(now); memo != scan {
-		return fmt.Errorf("request network memoized next-ready %d != scan %d", memo, scan)
-	}
-	if memo, scan := s.toSM.NextReady(now), s.toSM.NextReadyScan(now); memo != scan {
-		return fmt.Errorf("reply network memoized next-ready %d != scan %d", memo, scan)
 	}
 	return nil
 }
@@ -435,74 +429,6 @@ func newDRAMReq(addr uint32, isWrite bool, tag *LineRequest, arrive int64) *dram
 	r := dram.GetRequest()
 	r.Addr, r.IsWrite, r.Tag, r.Arrive = addr, isWrite, tag, arrive
 	return r
-}
-
-// NextEvent returns the earliest future cycle (> now) at which the
-// memory system could change state or deliver a reply, assuming no new
-// requests are injected, or math.MaxInt64 if it is fully drained. The
-// idle fast-forward uses this as one input to its jump horizon: every
-// Tick strictly between now and the returned cycle is a no-op, so
-// skipping those cycles is exact.
-//
-// In event-driven mode this is O(1): the partition horizons already
-// fold in the request network, DRAM, and pending L2 hits (s.nextAt is
-// their minimum), so only the reply network's memoized next-ready needs
-// consulting on top. Otherwise it falls back to the full scan.
-func (s *System) NextEvent(now int64) int64 {
-	if s.sleep && s.nextAt != math.MinInt64 {
-		next := s.nextAt
-		if next != math.MaxInt64 && next <= now {
-			next = now + 1
-		}
-		if at := s.toSM.NextReady(now); at < next {
-			next = at
-		}
-		return next
-	}
-	next := s.toMem.NextReady(now)
-	if at := s.toSM.NextReady(now); at < next {
-		next = at
-	}
-	for _, p := range s.partitions {
-		if p.pendHead < len(p.pending) {
-			at := p.pending[p.pendHead].at
-			if at <= now {
-				at = now + 1
-			}
-			if at < next {
-				next = at
-			}
-		}
-		if at := p.dram.NextEvent(now); at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// NextEventScan is NextEvent computed entirely by full scans, bypassing
-// the partition horizons and every underlying memo. The horizon
-// property tests use it as the ground truth NextEvent must equal.
-func (s *System) NextEventScan(now int64) int64 {
-	next := s.toMem.NextReadyScan(now)
-	if at := s.toSM.NextReadyScan(now); at < next {
-		next = at
-	}
-	for _, p := range s.partitions {
-		if p.pendHead < len(p.pending) {
-			at := p.pending[p.pendHead].at
-			if at <= now {
-				at = now + 1
-			}
-			if at < next {
-				next = at
-			}
-		}
-		if at := p.dram.NextEventScan(now); at < next {
-			next = at
-		}
-	}
-	return next
 }
 
 // Drained reports whether no requests remain anywhere in the system.

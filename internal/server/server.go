@@ -59,8 +59,8 @@ type Options struct {
 	// MaxDeadline caps client-requested job deadlines (0 = 10m).
 	MaxDeadline time.Duration
 	// SMWorkers sets the cycle-engine worker count inside every
-	// simulation (config.Config.SMWorkers: 0 = GOMAXPROCS, 1 =
-	// sequential). A daemon-side knob — the field is excluded from the
+	// simulation (config.Config.SMWorkers: 0 or 1 = sequential, 2 or
+	// more = a worker pool). A daemon-side knob — the field is excluded from the
 	// config wire format, so clients cannot set it — and invisible in
 	// results: statistics and cache keys are identical at any value.
 	// A farm already running Options.Workers concurrent simulations

@@ -84,8 +84,8 @@ func (sm *SM) buildMeta(k *kernel.Kernel, privateRegs int) []metaEntry {
 }
 
 // envNoSnapshot reads GPUSHARE_NOSNAPSHOT: any value other than empty
-// or "0" forces the recompute path. Like SMWorkers and NoFastForward
-// it cannot change results, so it is safe as a plain env escape hatch.
+// or "0" forces the recompute path. Like SMWorkers it cannot change
+// results, so it is safe as a plain env escape hatch.
 func envNoSnapshot() bool {
 	v := os.Getenv("GPUSHARE_NOSNAPSHOT")
 	return v != "" && v != "0"

@@ -103,8 +103,8 @@ func (sm *SM) FlushMem(now int64) {
 // writeback retiring, a memory reply draining, or a block launch. If no
 // warp can issue at cycle `now` and the stall inputs are constant, no
 // warp can issue at any cycle before min(horizon, next reply, next
-// launch) either, so both the machine-global idle fast-forward and the
-// per-SM sleep may skip the intervening cycles exactly.
+// launch) either, so per-SM sleep may skip the intervening cycles
+// exactly.
 func (sm *SM) ProgressHorizon(now int64) int64 {
 	next := sm.wb.nextAt(now)
 	if sm.lsuBusy > now && sm.lsuBusy < next {

@@ -25,8 +25,8 @@ import (
 // had nothing to run at all.
 //
 // The boolean result reports whether any scheduler issued an
-// instruction this cycle; the engine's watchdog and idle fast-forward
-// key off it (an SM only makes forward progress by issuing).
+// instruction this cycle; the engine's watchdog and per-SM sleep key
+// off it (an SM only makes forward progress by issuing).
 func (sm *SM) Tick(now int64) (bool, error) {
 	sm.drainReplies(now)
 	sm.processWritebacks(now)

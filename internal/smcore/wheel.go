@@ -52,8 +52,8 @@ func (w *wbWheel) forEach(f func(at int64, ev *wbEvent)) {
 }
 
 // nextAt returns the earliest deadline strictly after now, or
-// math.MaxInt64 when nothing is scheduled. Used by the idle
-// fast-forward to bound its jump.
+// math.MaxInt64 when nothing is scheduled. ProgressHorizon uses it to
+// bound a sleeping SM's wake cycle.
 func (w *wbWheel) nextAt(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for i := range w.slots {

@@ -38,24 +38,11 @@ type SM struct {
 	CoalescedAccess int64 // global-memory line transactions generated
 }
 
-// ScaleForward adds k extra copies of this SM's counter deltas relative
-// to base (a snapshot taken one cycle earlier). The engine's idle
-// fast-forward uses it: when the whole machine is provably frozen until
-// a known future cycle, one representative cycle is simulated normally
-// and its per-cycle counter delta is replayed arithmetically for the
-// skipped cycles, so every cumulative counter matches a cycle-by-cycle
-// run exactly. Non-cumulative fields (MaxResidentTB, DynProbFinal)
-// cannot change during a frozen cycle and are left untouched.
-func (s *SM) ScaleForward(base *SM, k int64) {
-	d := s.Delta(base)
-	s.AddScaled(&d, k)
-}
-
 // Delta returns the cumulative-counter difference s - base. The
 // non-cumulative fields (MaxResidentTB, DynProbFinal) are zero in the
 // result: a frozen cycle cannot change them, so replays leave them
-// untouched. Used by both the machine-global idle fast-forward and the
-// per-SM sleep replay.
+// untouched. The per-SM sleep replay measures one model cycle with it
+// and replays that delta over the slept cycles with AddScaled.
 func (s *SM) Delta(base *SM) SM {
 	return SM{
 		Cycles:          s.Cycles - base.Cycles,
