@@ -5,6 +5,14 @@ import "math"
 func f32bits(v float32) uint32     { return math.Float32bits(v) }
 func f32frombits(b uint32) float32 { return math.Float32frombits(b) }
 
+// ffma is FFMA with the product rounded to float32 before the add. The
+// explicit conversion forbids the compiler from fusing a*b+c into one
+// FMA instruction (which it does on arm64, ppc64 and s390x), so the
+// result bits are the same on every host.
+func ffma(a, b, c uint32) uint32 {
+	return f32bits(float32(f32frombits(a)*f32frombits(b)) + f32frombits(c))
+}
+
 // Eval computes the scalar result of an ALU/SFU opcode for one lane.
 // a, b, c are the source operand values; memory and control opcodes must
 // not be passed to Eval (they are handled by the warp executor).
@@ -51,7 +59,7 @@ func Eval(op Opcode, a, b, c uint32) uint32 {
 	case FMUL:
 		return f32bits(f32frombits(a) * f32frombits(b))
 	case FFMA:
-		return f32bits(f32frombits(a)*f32frombits(b) + f32frombits(c))
+		return ffma(a, b, c)
 	case FMIN:
 		return f32bits(float32(math.Min(float64(f32frombits(a)), float64(f32frombits(b)))))
 	case FMAX:
@@ -105,4 +113,132 @@ func EvalCmp(cmp CmpOp, a, b uint32) bool {
 		return f32frombits(a) >= f32frombits(b)
 	}
 	return false
+}
+
+// Lanes is the number of values in a warp column: one per thread of a
+// warp (kernel.WarpSize).
+const Lanes = 32
+
+// EvalLanes computes op for all 32 lanes of a warp at once: out[i] =
+// Eval(op, a[i], b[i], c[i]). The opcode switch runs once per warp
+// instead of once per lane. Only opcodes the workload kernels emit get
+// a dedicated loop; the rest fall back to Eval lane by lane. Lane i
+// reads a[i], b[i] and c[i] before it writes out[i], so out may alias a
+// source column.
+func EvalLanes(op Opcode, out, a, b, c *[Lanes]uint32) {
+	switch op {
+	case MOV:
+		*out = *a
+	case IADD:
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case ISUB:
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case IMUL:
+		for i := range out {
+			out[i] = uint32(int32(a[i]) * int32(b[i]))
+		}
+	case IMAD:
+		for i := range out {
+			out[i] = uint32(int32(a[i])*int32(b[i]) + int32(c[i]))
+		}
+	case IMIN:
+		for i := range out {
+			out[i] = uint32(min(int32(a[i]), int32(b[i])))
+		}
+	case IMAX:
+		for i := range out {
+			out[i] = uint32(max(int32(a[i]), int32(b[i])))
+		}
+	case AND:
+		for i := range out {
+			out[i] = a[i] & b[i]
+		}
+	case XOR:
+		for i := range out {
+			out[i] = a[i] ^ b[i]
+		}
+	case SHL:
+		for i := range out {
+			out[i] = a[i] << (b[i] & 31)
+		}
+	case SHR:
+		for i := range out {
+			out[i] = a[i] >> (b[i] & 31)
+		}
+	case FADD:
+		for i := range out {
+			out[i] = f32bits(f32frombits(a[i]) + f32frombits(b[i]))
+		}
+	case FSUB:
+		for i := range out {
+			out[i] = f32bits(f32frombits(a[i]) - f32frombits(b[i]))
+		}
+	case FMUL:
+		for i := range out {
+			out[i] = f32bits(f32frombits(a[i]) * f32frombits(b[i]))
+		}
+	case FFMA:
+		for i := range out {
+			out[i] = ffma(a[i], b[i], c[i])
+		}
+	case SELP:
+		for i := range out {
+			if c[i] != 0 {
+				out[i] = a[i]
+			} else {
+				out[i] = b[i]
+			}
+		}
+	default:
+		for i := range out {
+			out[i] = Eval(op, a[i], b[i], c[i])
+		}
+	}
+}
+
+// EvalCmpLanes computes a SETP comparison for all 32 lanes of a warp
+// and returns the lanes where it holds as a bit mask (bit i = lane i).
+// Only comparisons the workload kernels emit get a dedicated loop; the
+// rest fall back to EvalCmp.
+func EvalCmpLanes(cmp CmpOp, a, b *[Lanes]uint32) uint32 {
+	var set uint32
+	switch cmp {
+	case CmpEQ:
+		for i := range a {
+			set |= b2u(a[i] == b[i]) << i
+		}
+	case CmpLT:
+		for i := range a {
+			set |= b2u(int32(a[i]) < int32(b[i])) << i
+		}
+	case CmpGE:
+		for i := range a {
+			set |= b2u(int32(a[i]) >= int32(b[i])) << i
+		}
+	case CmpLTU:
+		for i := range a {
+			set |= b2u(a[i] < b[i]) << i
+		}
+	case CmpGEU:
+		for i := range a {
+			set |= b2u(a[i] >= b[i]) << i
+		}
+	default:
+		for i := range a {
+			set |= b2u(EvalCmp(cmp, a[i], b[i])) << i
+		}
+	}
+	return set
+}
+
+// b2u converts a comparison outcome to a 0/1 lane bit.
+func b2u(v bool) uint32 {
+	if v {
+		return 1
+	}
+	return 0
 }

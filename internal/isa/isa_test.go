@@ -182,3 +182,28 @@ func TestStringsAreStable(t *testing.T) {
 		t.Error("Valid() wrong")
 	}
 }
+
+// TestFFMANotFused pins FFMA to a rounded product followed by a rounded
+// add. With a = b = 1+2^-12 the exact product 1+2^-11+2^-24 rounds (ties
+// to even) to 1+2^-11, so adding c = -(1+2^-11) gives exactly 0. A fused
+// multiply-add keeps the 2^-24 and returns 2^-24 instead, which is what
+// a compiler would produce for a*b+c on hosts with an FMA instruction
+// unless the product is explicitly converted.
+func TestFFMANotFused(t *testing.T) {
+	a := f2b(1 + 1.0/(1<<12))
+	c := f2b(-(1 + 1.0/(1<<11)))
+	const fused = 0x33800000 // 2^-24
+	if got := Eval(FFMA, a, a, c); got != 0 {
+		t.Errorf("Eval(FFMA) = %#x, want 0 (unfused); fused would be %#x", got, uint32(fused))
+	}
+	var out, av, cv [Lanes]uint32
+	for i := range av {
+		av[i], cv[i] = a, c
+	}
+	EvalLanes(FFMA, &out, &av, &av, &cv)
+	for i, got := range out {
+		if got != 0 {
+			t.Fatalf("EvalLanes(FFMA) lane %d = %#x, want 0 (unfused)", i, got)
+		}
+	}
+}

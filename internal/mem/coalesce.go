@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/bits"
 
 	"gpushare/internal/kernel"
 )
@@ -44,32 +45,42 @@ func Coalesce(addrs *[kernel.WarpSize]uint32, active uint32, lineSz int, buf []u
 // words mapping to the same bank across the active lanes — the number of
 // serialized scratchpad cycles the access costs. Lanes reading the same
 // word broadcast and do not conflict. banks must be positive.
+//
+// A warp touches at most 32 distinct words, so they and their banks live
+// in fixed stack arrays and the check allocates nothing. A word whose
+// bank (mod 64) has not been seen yet is recorded without a scan, which
+// makes the common conflict-free access linear.
 func BankConflictDegree(addrs *[kernel.WarpSize]uint32, active uint32, banks int) int {
-	if active == 0 {
-		return 1
-	}
-	// words[b] collects the distinct word addresses seen on bank b.
-	words := make(map[int][]uint32, banks)
-	deg := 1
-	for lane := 0; lane < kernel.WarpSize; lane++ {
-		if active&(1<<lane) == 0 {
+	var words [kernel.WarpSize]uint32 // distinct words seen so far
+	var bankOf [kernel.WarpSize]int   // bankOf[i] is the bank of words[i]
+	var seen uint64                   // bit b%64 is set once a word on bank b is recorded
+	n, deg := 0, 1
+	for m := active; m != 0; m &= m - 1 {
+		word := addrs[bits.TrailingZeros32(m)] >> 2
+		b := int(word) % banks
+		if bit := uint64(1) << (b & 63); seen&bit == 0 {
+			seen |= bit
+			words[n], bankOf[n] = word, b
+			n++
 			continue
 		}
-		word := addrs[lane] >> 2
-		b := int(word) % banks
-		dup := false
-		for _, w := range words[b] {
-			if w == word {
+		same, dup := 1, false // same counts the bank's distinct words, this one included
+		for i := 0; i < n; i++ {
+			if bankOf[i] != b {
+				continue
+			}
+			if words[i] == word {
 				dup = true
 				break
 			}
+			same++
 		}
-		if !dup {
-			words[b] = append(words[b], word)
-			if len(words[b]) > deg {
-				deg = len(words[b])
-			}
+		if dup {
+			continue
 		}
+		words[n], bankOf[n] = word, b
+		n++
+		deg = max(deg, same)
 	}
 	return deg
 }

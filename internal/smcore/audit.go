@@ -27,8 +27,16 @@ func (sm *SM) AuditSharing() error {
 // active-warp count matches the live unfinished warps, and the arrival
 // count matches the warps actually parked at the barrier. A mismatch
 // means a barrier release was missed or an arrival was lost — the block
-// would hang forever.
+// would hang forever. It also recounts each tenant's parked warps
+// against the count Tick adds to BarrierWaits each cycle.
 func (sm *SM) AuditBarriers() error {
+	perTenant := sm.countBarrierWarps()
+	for i := range sm.tens {
+		if perTenant[i] != sm.tens[i].barrierWarps {
+			return fmt.Errorf("SM%d tenant %d: %d warps parked at a barrier but the maintained count is %d (BarrierWaits drifts)",
+				sm.ID, sm.tens[i].id, perTenant[i], sm.tens[i].barrierWarps)
+		}
+	}
 	for bs := range sm.blocks {
 		b := &sm.blocks[bs]
 		if !b.live {

@@ -304,6 +304,9 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		t.liveBlocks = s.LiveBlocks
 		t.st = s.Stats
 	}
+	for i, n := range sm.countBarrierWarps() {
+		sm.tens[i].barrierWarps = n
+	}
 	for i, sc := range sm.scheds {
 		if err := sched.Restore(sc, c.Scheds[i]); err != nil {
 			return fmt.Errorf("SM%d scheduler %d: %w", sm.ID, i, err)

@@ -133,8 +133,9 @@ type SM struct {
 	Stats stats.SM
 
 	// scratch buffers reused across cycles
-	lineBuf []uint32
-	regBuf  []int
+	lineBuf   []uint32
+	regBuf    []int
+	smemAddrs [kernel.WarpSize]uint32 // tryIssue's pre-issue scratchpad addresses
 }
 
 // New builds an SM for a single kernel launch: a one-tenant SM with no
@@ -261,7 +262,7 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		sm.nextDyn++
 		wc.live = true
 		wc.finished = false
-		wc.atBarrier = false
+		sm.setBarrier(wc, false)
 		wc.pendingRegs = 0
 		wc.pendingPreds = 0
 		wc.loadRegs = 0
@@ -277,6 +278,32 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		sm.Stats.MaxResidentTB = n
 	}
 	return nil
+}
+
+// setBarrier parks (v true) or releases a warp at its block's barrier,
+// keeping its tenant's count of parked live warps in step.
+func (sm *SM) setBarrier(wc *warpCtx, v bool) {
+	if wc.atBarrier == v {
+		return
+	}
+	wc.atBarrier = v
+	if v {
+		sm.tens[wc.tn].barrierWarps++
+	} else {
+		sm.tens[wc.tn].barrierWarps--
+	}
+}
+
+// countBarrierWarps recounts each tenant's live warps parked at a
+// barrier from the warp slots, indexed like sm.tens.
+func (sm *SM) countBarrierWarps() []int64 {
+	n := make([]int64, len(sm.tens))
+	for i := range sm.warps {
+		if wc := &sm.warps[i]; wc.live && wc.atBarrier {
+			n[sm.blocks[wc.w.BlockSlot].tn]++
+		}
+	}
+	return n
 }
 
 // Idle reports whether the SM has no live blocks.

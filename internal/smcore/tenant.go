@@ -62,6 +62,8 @@ type tenantCtx struct {
 	smemPerBlock       int
 	pairRegs, pairSmem int
 
+	barrierWarps int64 // live warps parked at a barrier, kept by setBarrier
+
 	st stats.Tenant
 }
 

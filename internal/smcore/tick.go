@@ -6,7 +6,6 @@ import (
 	"gpushare/internal/core"
 	"gpushare/internal/fault"
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 	"gpushare/internal/simerr"
 	"gpushare/internal/warp"
@@ -81,11 +80,10 @@ func (sm *SM) Tick(now int64) (bool, error) {
 			sm.Stats.IdleCycles++
 		}
 	}
-	for i := range sm.warps {
-		if sm.warps[i].live && sm.warps[i].atBarrier {
-			sm.Stats.BarrierWaits++
-			sm.tens[sm.blocks[sm.warps[i].w.BlockSlot].tn].st.BarrierWaits++
-		}
+	for i := range sm.tens {
+		t := &sm.tens[i]
+		t.st.BarrierWaits += t.barrierWarps
+		sm.Stats.BarrierWaits += t.barrierWarps
 	}
 	return issued > 0, nil
 }
@@ -187,11 +185,10 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 
 	// Scratchpad sharing: accesses into the shared region need the
 	// block-pair lock (Fig. 4).
-	var smemAddrs [kernel.WarpSize]uint32
 	var smemActive uint32
 	if me.flags&metaSharedMem != 0 {
-		smemActive = wc.w.EffAddrs(in, &b.env, &smemAddrs)
-		if t.shr.SmemNeedsLock(ls, &smemAddrs, smemActive) {
+		smemActive = wc.w.EffAddrs(in, &b.env, &sm.smemAddrs)
+		if t.shr.SmemNeedsLock(ls, &sm.smemAddrs, smemActive) {
 			epoch := t.shr.Epoch()
 			if !t.shr.TryAcquireSmem(ls) {
 				sm.Stats.BlockLockWait++
@@ -233,7 +230,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	switch {
 	case res.Kind == warp.ResBarrier:
 		if !res.Finished {
-			wc.atBarrier = true
+			sm.setBarrier(wc, true)
 			if sm.faults.Trip(fault.SkipBarrierArrival, now, sm.ID, ws,
 				"warp parked at barrier without incrementing the arrival count") {
 				break // injected fault: the block's barrier can never release
@@ -245,7 +242,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 		// Control instructions retire immediately.
 	case isa.IsSharedMem(in.Op):
 		*memUsed = true
-		deg := mem.BankConflictDegree(&smemAddrs, smemActive, sm.cfg.SmemBanks)
+		deg := mem.BankConflictDegree(&sm.smemAddrs, smemActive, sm.cfg.SmemBanks)
 		sm.Stats.BankConflicts += int64(deg - 1)
 		sm.lsuBusy = now + int64(deg-1)
 		if in.Op == isa.LDS {
@@ -444,7 +441,7 @@ func (sm *SM) checkBarrier(bs int) {
 	for wi := 0; wi < b.wpb; wi++ {
 		wc := &sm.warps[b.warpBase+wi]
 		if wc.live && !wc.finished {
-			wc.atBarrier = false
+			sm.setBarrier(wc, false)
 			sm.markDirty(b.warpBase + wi)
 		}
 	}

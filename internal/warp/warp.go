@@ -88,6 +88,11 @@ type State struct {
 	// values, which Result already documents as invalid.
 	gaddrs [kernel.WarpSize]uint32
 	saddrs [kernel.WarpSize]uint32
+
+	// Operand and result columns for Execute: immediates and special
+	// registers are resolved into opA/opB/opC, and a partially active
+	// ALU result is staged in out before its masked merge.
+	opA, opB, opC, out column
 }
 
 // NewState allocates warp state for a kernel with nregs registers per
@@ -162,45 +167,93 @@ func (w *State) guardMask(in *isa.Instr, mask uint32) uint32 {
 	return mask & pm
 }
 
-// readOperand evaluates a source operand for one lane.
-func (w *State) readOperand(o isa.Operand, lane int, env *Env) uint32 {
+// column is one value per lane of a warp: a register's slice of the
+// register file, or a source operand resolved for the whole warp.
+type column = [kernel.WarpSize]uint32
+
+// zeroColumn is the value of an absent operand. It is only ever read.
+var zeroColumn column
+
+// reg returns register r's column, aliasing the register file.
+func (w *State) reg(r uint8) *column {
+	return (*column)(w.regs[int(r)*kernel.WarpSize:])
+}
+
+// operand resolves source operand o for all 32 lanes at once: a
+// register aliases its column of the register file, an immediate is
+// broadcast into buf, a special register is computed per lane into buf,
+// and an absent operand reads as zero.
+func (w *State) operand(o isa.Operand, env *Env, buf *column) *column {
 	switch o.Kind {
 	case isa.OpReg:
-		return w.Reg(int(o.Reg), lane)
+		return w.reg(o.Reg)
 	case isa.OpImm:
-		return uint32(o.Imm)
+		broadcast(buf, uint32(o.Imm))
 	case isa.OpSpecial:
-		switch o.Spec {
-		case isa.SrTid:
-			t := w.WarpInCta*kernel.WarpSize + lane
-			if env.dimY() > 1 {
-				return uint32(t % env.BlockDim)
-			}
-			return uint32(t)
-		case isa.SrTidY:
-			return uint32((w.WarpInCta*kernel.WarpSize + lane) / env.BlockDim)
-		case isa.SrCtaid:
-			return uint32(env.CtaID)
-		case isa.SrCtaidY:
-			return uint32(env.CtaIDY)
-		case isa.SrNtid:
-			return uint32(env.BlockDim)
-		case isa.SrNtidY:
-			return uint32(env.dimY())
-		case isa.SrNctaid:
-			return uint32(env.GridDim)
-		case isa.SrNctaidY:
-			if env.GridDimY > 1 {
-				return uint32(env.GridDimY)
-			}
-			return 1
-		case isa.SrLane:
-			return uint32(lane)
-		case isa.SrWarpCta:
-			return uint32(w.WarpInCta)
-		}
+		w.special(o.Spec, env, buf)
+	default:
+		return &zeroColumn
 	}
-	return 0
+	return buf
+}
+
+// special computes special register s for every lane into buf.
+func (w *State) special(s isa.Special, env *Env, buf *column) {
+	base := w.WarpInCta * kernel.WarpSize // linear thread id of lane 0
+	switch s {
+	case isa.SrTid:
+		if env.dimY() > 1 {
+			for lane := range buf {
+				buf[lane] = uint32((base + lane) % env.BlockDim)
+			}
+			return
+		}
+		for lane := range buf {
+			buf[lane] = uint32(base + lane)
+		}
+	case isa.SrTidY:
+		for lane := range buf {
+			buf[lane] = uint32((base + lane) / env.BlockDim)
+		}
+	case isa.SrLane:
+		for lane := range buf {
+			buf[lane] = uint32(lane)
+		}
+	case isa.SrCtaid:
+		broadcast(buf, uint32(env.CtaID))
+	case isa.SrCtaidY:
+		broadcast(buf, uint32(env.CtaIDY))
+	case isa.SrNtid:
+		broadcast(buf, uint32(env.BlockDim))
+	case isa.SrNtidY:
+		broadcast(buf, uint32(env.dimY()))
+	case isa.SrNctaid:
+		broadcast(buf, uint32(env.GridDim))
+	case isa.SrNctaidY:
+		broadcast(buf, uint32(max(env.GridDimY, 1)))
+	case isa.SrWarpCta:
+		broadcast(buf, uint32(w.WarpInCta))
+	default:
+		*buf = zeroColumn
+	}
+}
+
+// broadcast sets every lane of buf to v.
+func broadcast(buf *column, v uint32) {
+	for lane := range buf {
+		buf[lane] = v
+	}
+}
+
+// addresses writes the effective byte address (A + Off) of every lane
+// in active into addrs.
+func (w *State) addresses(in *isa.Instr, env *Env, active uint32, addrs *column) {
+	a := w.operand(in.A, env, &w.opA)
+	off := uint32(in.Off)
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		addrs[lane] = a[lane] + off
+	}
 }
 
 // EffAddrs computes the effective per-lane byte addresses of a memory
@@ -210,12 +263,7 @@ func (w *State) readOperand(o isa.Operand, lane int, env *Env) uint32 {
 func (w *State) EffAddrs(in *isa.Instr, env *Env, addrs *[kernel.WarpSize]uint32) uint32 {
 	_, mask := w.simt.Top()
 	active := w.guardMask(in, mask)
-	for lane := 0; lane < kernel.WarpSize; lane++ {
-		if active&(1<<lane) == 0 {
-			continue
-		}
-		addrs[lane] = w.readOperand(in.A, lane, env) + uint32(in.Off)
-	}
+	w.addresses(in, env, active, addrs)
 	return active
 }
 
@@ -226,13 +274,18 @@ func (w *State) EffAddrs(in *isa.Instr, env *Env, addrs *[kernel.WarpSize]uint32
 // the kernel itself is faulty (a barrier inside divergent control flow,
 // a scratchpad access out of bounds); the warp state is left as-is and
 // the simulation must abort.
+//
+// Execution is column-wise: each source operand is resolved once for
+// the whole warp and the opcode is dispatched once (isa.EvalLanes), not
+// once per lane.
 func (w *State) Execute(in *isa.Instr, env *Env) (Result, error) {
-	pc, mask := w.simt.Top()
-	_ = pc
+	_, mask := w.simt.Top()
 	active := w.guardMask(in, mask)
 	res := Result{Kind: ResNormal, Active: active}
 
 	switch in.Op {
+	case isa.NOP:
+
 	case isa.BRA:
 		w.simt.Branch(active, in.Target, in.Reconv)
 		res.Finished = w.simt.Done()
@@ -249,122 +302,99 @@ func (w *State) Execute(in *isa.Instr, env *Env) (Result, error) {
 				"kernels must only place bar.sync at convergence points", w.ID, w.simt.Depth())
 		}
 		res.Kind = ResBarrier
-		w.simt.Advance()
-		res.Finished = w.simt.Done()
-		return res, nil
 
 	case isa.SETP:
-		p := int(in.Dst.Reg)
-		var set uint32
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a := w.readOperand(in.A, lane, env)
-			bv := w.readOperand(in.B, lane, env)
-			if isa.EvalCmp(in.Cmp, a, bv) {
-				set |= 1 << lane
-			}
-		}
-		w.preds[p] = (w.preds[p] &^ active) | set
+		p := in.Dst.Reg
+		set := isa.EvalCmpLanes(in.Cmp, w.operand(in.A, env, &w.opA), w.operand(in.B, env, &w.opB))
+		w.preds[p] = (w.preds[p] &^ active) | (set & active)
 
 	case isa.SELP:
-		d := int(in.Dst.Reg)
 		pm := w.preds[in.C.Reg]
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a := w.readOperand(in.A, lane, env)
-			bv := w.readOperand(in.B, lane, env)
-			var c uint32
-			if pm&(1<<lane) != 0 {
-				c = 1
-			}
-			w.SetReg(d, lane, isa.Eval(isa.SELP, a, bv, c))
+		for lane := range w.opC {
+			w.opC[lane] = pm >> lane & 1
 		}
+		w.writeLanes(in, active, w.operand(in.A, env, &w.opA), w.operand(in.B, env, &w.opB), &w.opC)
 
 	case isa.LDP:
-		d := int(in.Dst.Reg)
 		v := env.Params[in.Off]
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) != 0 {
-				w.SetReg(d, lane, v)
-			}
+		d := w.reg(in.Dst.Reg)
+		for m := active; m != 0; m &= m - 1 {
+			d[bits.TrailingZeros32(m)] = v
 		}
 
 	case isa.LDG, isa.STG:
 		addrs := &w.gaddrs
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			addrs[lane] = w.readOperand(in.A, lane, env) + uint32(in.Off)
-		}
+		w.addresses(in, env, active, addrs)
 		if in.Op == isa.LDG {
-			d := int(in.Dst.Reg)
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					w.SetReg(d, lane, env.Gmem.Load32(addrs[lane]))
-				}
+			d := w.reg(in.Dst.Reg)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				d[lane] = env.Gmem.Load32(addrs[lane])
 			}
 		} else {
 			res.IsStore = true
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					env.Gmem.Store32(addrs[lane], w.readOperand(in.B, lane, env))
-				}
+			v := w.operand(in.B, env, &w.opB)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				env.Gmem.Store32(addrs[lane], v[lane])
 			}
 		}
 		res.GlobalAddrs = addrs
 
 	case isa.LDS, isa.STS:
 		addrs := &w.saddrs
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			addrs[lane] = w.readOperand(in.A, lane, env) + uint32(in.Off)
-		}
+		w.addresses(in, env, active, addrs)
 		if in.Op == isa.LDS {
-			d := int(in.Dst.Reg)
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					v, err := load32(env.Smem, addrs[lane])
-					if err != nil {
-						return res, fmt.Errorf("warp %d lane %d: %w", w.ID, lane, err)
-					}
-					w.SetReg(d, lane, v)
+			d := w.reg(in.Dst.Reg)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				v, err := load32(env.Smem, addrs[lane])
+				if err != nil {
+					return res, fmt.Errorf("warp %d lane %d: %w", w.ID, lane, err)
 				}
+				d[lane] = v
 			}
 		} else {
 			res.IsStore = true
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					if err := store32(env.Smem, addrs[lane], w.readOperand(in.B, lane, env)); err != nil {
-						return res, fmt.Errorf("warp %d lane %d: %w", w.ID, lane, err)
-					}
+			v := w.operand(in.B, env, &w.opB)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				if err := store32(env.Smem, addrs[lane], v[lane]); err != nil {
+					return res, fmt.Errorf("warp %d lane %d: %w", w.ID, lane, err)
 				}
 			}
 		}
 		res.SharedAddrs = addrs
 
 	default: // plain ALU / SFU
-		d := int(in.Dst.Reg)
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a := w.readOperand(in.A, lane, env)
-			bv := w.readOperand(in.B, lane, env)
-			c := w.readOperand(in.C, lane, env)
-			w.SetReg(d, lane, isa.Eval(in.Op, a, bv, c))
-		}
+		w.writeLanes(in, active,
+			w.operand(in.A, env, &w.opA), w.operand(in.B, env, &w.opB), w.operand(in.C, env, &w.opC))
 	}
 
 	w.simt.Advance()
 	res.Finished = w.simt.Done()
 	return res, nil
+}
+
+// writeLanes evaluates an ALU/SFU opcode over whole columns and writes
+// the result to the destination register's active lanes. With every
+// lane active the result goes straight into the register (EvalLanes
+// tolerates a destination that is also a source); otherwise it goes
+// through a scratch column and is merged under the mask.
+func (w *State) writeLanes(in *isa.Instr, active uint32, a, b, c *column) {
+	d := w.reg(in.Dst.Reg)
+	if active == ^uint32(0) {
+		isa.EvalLanes(in.Op, d, a, b, c)
+		return
+	}
+	if active == 0 {
+		return
+	}
+	isa.EvalLanes(in.Op, &w.out, a, b, c)
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		d[lane] = w.out[lane]
+	}
 }
 
 // load32 reads a little-endian 32-bit word from scratchpad. Accesses are

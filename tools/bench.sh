@@ -35,9 +35,9 @@ fi
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-echo "== microbenchmarks (smcore SM tick, scheduler ranking, mem system tick + idle window, checkpoint roundtrip)"
-go test -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkCheckpointRoundtrip$' \
-    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/sched/ ./internal/mem/ ./internal/checkpoint/ | tee "$out"
+echo "== microbenchmarks (smcore SM tick, warp execute, scheduler ranking, mem system tick + idle window, bank-conflict check, checkpoint roundtrip)"
+go test -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkWarpExecute$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkBankConflictDegree$|BenchmarkCheckpointRoundtrip$' \
+    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/sched/ ./internal/mem/ ./internal/checkpoint/ | tee "$out"
 
 echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; blocked-heavy per-SM sleep per op; compute-bound mem-sleep per op)"
 go test -run '^$' -bench 'BenchmarkRunParallelSMs|BenchmarkCoResident|BenchmarkSMSleepMemBound|BenchmarkComputeBound' \

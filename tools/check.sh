@@ -49,9 +49,10 @@ go test -race $short -timeout 30m -run 'TestEngineDeterminism|TestLaunchQueue|Te
 echo "== benchmark smoke + allocs/op gate (tools/bench.sh -quick)"
 ./tools/bench.sh -quick
 
-echo "== fuzz smoke (asm parser, ISA evaluator, checkpoint decoder)"
+echo "== fuzz smoke (asm parser, ISA evaluator and its whole-warp form, checkpoint decoder)"
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm/
-go test -fuzz=FuzzEval -fuzztime=10s ./internal/isa/
+go test -fuzz='^FuzzEval$' -fuzztime=10s ./internal/isa/
+go test -fuzz='^FuzzEvalLanes$' -fuzztime=10s ./internal/isa/
 go test -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/checkpoint/
 
 echo "== invariant-audited tier-1 (GPUSHARE_INVARIANT_STRIDE=256)"
